@@ -15,9 +15,7 @@ from .graph import (
 )
 from .metric_dimension import (
     ResolvingWitness,
-    TreeDecoration,
     brute_force_beta,
-    decorate_tree,
     forest_beta,
     graph_beta,
     is_resolving,
@@ -32,11 +30,9 @@ __all__ = [
     "Graph",
     "GraphError",
     "ResolvingWitness",
-    "TreeDecoration",
     "bfs_distances",
     "brute_force_beta",
     "connected_components",
-    "decorate_tree",
     "distance_profile",
     "forest_beta",
     "graph_beta",

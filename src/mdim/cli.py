@@ -27,9 +27,15 @@ def cmd_exact(args) -> int:
 
 
 def cmd_brute(args) -> int:
-    from .metric_dimension import brute_force_beta
+    from .graph import parse_graph, parse_header
+    from .metric_dimension import SizeCapError, brute_force_beta
 
-    _print_witness(brute_force_beta(_read_graph(args.graph), size_cap=args.cap))
+    with open(args.graph) as fh:
+        text = fh.read()
+    n, _ = parse_header(text)
+    if n > args.cap:  # before parse_graph allocates one list per vertex
+        raise SizeCapError(f"n={n} exceeds size cap {args.cap}")
+    _print_witness(brute_force_beta(parse_graph(text), size_cap=args.cap))
     return 0
 
 

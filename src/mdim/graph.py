@@ -189,18 +189,32 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
     return Graph.from_edges(len(verts), edges), verts
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse the edge-list format: header line "n m", then m lines "u v"."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+def _content_lines(text: str) -> list[str]:
+    return [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+
+
+def parse_header(text: str) -> tuple[int, int]:
+    """The counts (n, m) from the header line of edge-list text.
+
+    Builds no graph, so a caller can bound n before `parse_graph` allocates
+    one adjacency list per vertex.
+    """
+    lines = _content_lines(text)
     if not lines:
         raise GraphError("empty graph text")
     header = lines[0].split()
     if len(header) != 2:
         raise GraphError(f"malformed header {lines[0]!r}, expected 'n m'")
     try:
-        n, m = int(header[0]), int(header[1])
+        return int(header[0]), int(header[1])
     except ValueError as exc:
         raise GraphError(f"malformed header {lines[0]!r}") from exc
+
+
+def parse_graph(text: str) -> Graph:
+    """Parse the edge-list format: header line "n m", then m lines "u v"."""
+    n, m = parse_header(text)
+    lines = _content_lines(text)
     if m != len(lines) - 1:
         raise GraphError(f"header declares {m} edges, found {len(lines) - 1}")
     edges = []

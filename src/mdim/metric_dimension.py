@@ -13,10 +13,12 @@ from typing import Iterable
 
 from .graph import (
     ComponentKind,
+    ComponentPartition,
     Graph,
     GraphError,
     bfs_distances,
     connected_components,
+    distance_profile,
     induced_subgraph,
 )
 
@@ -43,67 +45,51 @@ class ComponentTooLargeError(ValueError):
 
 
 @dataclass(frozen=True)
-class TreeDecoration:
-    """Slater decoration of a tree.
-
-    `leaves` is the set of degree-1 vertices.  `important` is the set of
-    degree->=3 vertices joined to at least one leaf by a path whose interior
-    vertices all have degree two.  `legs[v]` counts the branches at v that are
-    bare paths (only vertices with at least one such branch appear).
-    """
-
-    leaves: frozenset[int]
-    important: frozenset[int]
-    legs: dict[int, int]
-
-
-@dataclass(frozen=True)
 class ResolvingWitness:
     beta: int
     witness: tuple[int, ...]
 
 
-def _require_tree(t: Graph) -> None:
-    if t.n == 0:
-        raise NotATreeError("empty graph is not a tree")
-    if t.edge_count != t.n - 1:
-        raise NotATreeError(f"graph has {t.edge_count} edges, a tree on {t.n} vertices needs {t.n - 1}")
-    parts = connected_components(t)
-    if len(parts.components) != 1:
-        raise NotATreeError("graph is not connected")
+def _solve(g: Graph, parts: ComponentPartition, brute_cap: int) -> ResolvingWitness:
+    """Metric dimension of `g` from its component partition, in one pass.
 
-
-def _leaf_walks(t: Graph) -> tuple[list[int], dict[int, int | None], dict[int, int]]:
-    """Walk from each leaf through degree-2 vertices to the first branch vertex.
-
-    Returns (leaves, terminal, legs).  terminal[leaf] is the degree->=3 vertex
-    the walk ends at, or None when the walk ends at another leaf (the tree is a
-    path).  legs[v] counts, for every vertex, walk steps arriving at v, i.e.
-    the branches at v that are bare paths.
+    Tree components follow Slater's rule, |L| - |K|: a walk from each leaf
+    through degree-2 vertices ends at a branch vertex (its terminal) or, on a
+    path, at the other endpoint.  The witness keeps a path's smaller endpoint
+    and, elsewhere, every leaf except the smallest-labelled one at each
+    terminal.  Non-tree components go to the exhaustive search, after all of
+    them are checked against `brute_cap`.  Isolated vertices join the
+    witness, except that with >= 2 components the largest-labelled one is
+    left out: it is the unique vertex with an all-unreachable profile.
     """
-    deg = [t.degree(v) for v in range(t.n)]
-    leaves = [v for v in range(t.n) if deg[v] == 1]
-    terminal: dict[int, int | None] = {}
-    legs: dict[int, int] = {}
-    for leaf in leaves:
-        prev, cur = leaf, t.adj[leaf][0]
-        legs[cur] = legs.get(cur, 0) + 1
+    non_tree = [c for c, k in zip(parts.components, parts.kinds) if k is ComponentKind.NON_TREE]
+    for comp in non_tree:
+        if len(comp) > brute_cap:
+            raise ComponentTooLargeError(len(comp), brute_cap)
+    witness: list[int] = []
+    for comp in non_tree:
+        sub, labels = induced_subgraph(g, comp)
+        witness.extend(labels[v] for v in brute_force_beta(sub, size_cap=brute_cap).witness)
+    adj, kinds, assignment = g.adj, parts.kinds, parts.assignment
+    deg = [len(ns) for ns in adj]
+    terminals: set[int] = set()
+    for leaf in range(g.n):
+        if deg[leaf] != 1 or kinds[assignment[leaf]] is ComponentKind.NON_TREE:
+            continue
+        prev, cur = leaf, adj[leaf][0]
         while deg[cur] == 2:
-            a, b = t.adj[cur]
+            a, b = adj[cur]
             prev, cur = cur, (b if a == prev else a)
-            legs[cur] = legs.get(cur, 0) + 1
-        terminal[leaf] = cur if deg[cur] >= 3 else None
-    return leaves, terminal, legs
-
-
-def decorate_tree(t: Graph) -> TreeDecoration:
-    """Leaves, important vertices and path-branch counts of a tree (n >= 2)."""
-    _require_tree(t)
-    if t.n < 2:
-        raise NotATreeError("decoration requires at least 2 vertices")
-    leaves, terminal, legs = _leaf_walks(t)
-    important = frozenset(v for v in terminal.values() if v is not None)
-    return TreeDecoration(frozenset(leaves), important, legs)
+        if deg[cur] == 1:
+            if leaf < cur:
+                witness.append(leaf)
+        elif cur in terminals:
+            witness.append(leaf)
+        else:
+            terminals.add(cur)
+    isolated = [v for v in range(g.n) if deg[v] == 0]
+    witness.extend(isolated[:-1] if len(parts.components) >= 2 else isolated)
+    return ResolvingWitness(len(witness), tuple(sorted(witness)))
 
 
 def slater_tree_beta(t: Graph) -> ResolvingWitness:
@@ -113,39 +99,12 @@ def slater_tree_beta(t: Graph) -> ResolvingWitness:
     Otherwise |L| - |K|, witnessed by the leaves minus the smallest-labelled
     leaf attached to each important vertex.
     """
-    _require_tree(t)
-    if t.n == 1:
-        return ResolvingWitness(1, (0,))
-    if all(t.degree(v) <= 2 for v in range(t.n)):
-        endpoint = min(v for v in range(t.n) if t.degree(v) == 1)
-        return ResolvingWitness(1, (endpoint,))
-    leaves, terminal, _ = _leaf_walks(t)
-    dropped: dict[int, int] = {}
-    for leaf in sorted(leaves):
-        v = terminal[leaf]
-        if v is not None and v not in dropped:
-            dropped[v] = leaf
-    witness = tuple(sorted(set(leaves) - set(dropped.values())))
-    return ResolvingWitness(len(leaves) - len(dropped), witness)
-
-
-def _compose_components(
-    pieces: list[ResolvingWitness], kinds: Iterable[ComponentKind]
-) -> ResolvingWitness:
-    """Sum per-component values; one isolated vertex rides along for free.
-
-    With >= 2 components, one isolated vertex may be left out of the witness:
-    it is the unique vertex with an all-unreachable profile.
-    """
-    kinds = list(kinds)
-    beta = sum(p.beta for p in pieces)
-    witness = sorted(v for p in pieces for v in p.witness)
-    has_isolated = ComponentKind.ISOLATED_VERTEX in kinds
-    if has_isolated and len(kinds) >= 2:
-        beta -= 1
-        spare = max(p.witness[0] for p, k in zip(pieces, kinds) if k == ComponentKind.ISOLATED_VERTEX)
-        witness.remove(spare)
-    return ResolvingWitness(beta, tuple(witness))
+    parts = connected_components(t)
+    if len(parts.components) != 1:
+        raise NotATreeError(f"graph has {len(parts.components)} components, a tree has 1")
+    if parts.kinds[0] is ComponentKind.NON_TREE:
+        raise NotATreeError("graph contains a cycle")
+    return _solve(t, parts, 0)
 
 
 def forest_beta(f: Graph) -> ResolvingWitness:
@@ -155,53 +114,24 @@ def forest_beta(f: Graph) -> ResolvingWitness:
     parts = connected_components(f)
     if ComponentKind.NON_TREE in parts.kinds:
         raise NotAForestError("graph contains a cycle")
-    pieces = []
-    for comp, kind in zip(parts.components, parts.kinds):
-        if kind is ComponentKind.ISOLATED_VERTEX:
-            pieces.append(ResolvingWitness(1, (comp[0],)))
-        else:
-            sub, labels = induced_subgraph(f, comp)
-            local = slater_tree_beta(sub)
-            pieces.append(ResolvingWitness(local.beta, tuple(labels[v] for v in local.witness)))
-    return _compose_components(pieces, parts.kinds)
+    return _solve(f, parts, 0)
 
 
 def graph_beta(g: Graph, brute_cap: int = 12) -> ResolvingWitness:
     """Metric dimension of an arbitrary graph with small non-tree parts.
 
     Tree components use Slater; non-tree components fall back to the
-    exhaustive search and must have at most `brute_cap` vertices.
+    exhaustive search and must have at most `brute_cap` vertices.  When
+    several exceed it, the error names the one holding the smallest label.
     """
     if g.n == 0:
         raise GraphError("empty graph")
-    parts = connected_components(g)
-    pieces = []
-    for comp, kind in zip(parts.components, parts.kinds):
-        if kind is ComponentKind.ISOLATED_VERTEX:
-            pieces.append(ResolvingWitness(1, (comp[0],)))
-            continue
-        sub, labels = induced_subgraph(g, comp)
-        if kind is ComponentKind.NON_TREE:
-            if len(comp) > brute_cap:
-                raise ComponentTooLargeError(len(comp), brute_cap)
-            local = brute_force_beta(sub, size_cap=brute_cap)
-        else:
-            local = slater_tree_beta(sub)
-        pieces.append(ResolvingWitness(local.beta, tuple(labels[v] for v in local.witness)))
-    return _compose_components(pieces, parts.kinds)
+    return _solve(g, connected_components(g), brute_cap)
 
 
 def is_resolving(g: Graph, landmarks: Iterable[int]) -> bool:
     """True iff all n distance vectors to `landmarks` are pairwise distinct."""
-    marks = tuple(landmarks)
-    if len(set(marks)) != len(marks):
-        raise GraphError(f"duplicate landmark in {marks}")
-    for r in marks:
-        if not 0 <= r < g.n:
-            raise GraphError(f"landmark {r} out of range for n={g.n}")
-    columns = [bfs_distances(g, r) for r in marks]
-    rows = {tuple(col[v] for col in columns) for v in range(g.n)}
-    return len(rows) == g.n
+    return len(set(distance_profile(g, landmarks).rows)) == g.n
 
 
 def brute_force_beta(g: Graph, size_cap: int = 12) -> ResolvingWitness:

@@ -1,4 +1,4 @@
-"""Shared test utilities: chi-square goodness of fit, small graph builders."""
+"""Shared test utilities: chi-square goodness of fit, small graph builders, leg counts."""
 
 from __future__ import annotations
 
@@ -30,6 +30,26 @@ def disjoint_union(*graphs: Graph) -> Graph:
         edges.extend((u + n, v + n) for u, v in g.edges())
         n += g.n
     return Graph.from_edges(n, edges)
+
+
+def leg_counts(t: Graph) -> dict[int, int]:
+    """Bare-path branches (legs) at each vertex of degree >= 3.
+
+    Walks outward from each branch vertex, the opposite direction to the
+    solver's leaf walks, so it checks Slater's rule independently.
+    """
+    legs = {}
+    for v in range(t.n):
+        if t.degree(v) < 3:
+            continue
+        legs[v] = 0
+        for first in t.adj[v]:
+            prev, cur = v, first
+            while t.degree(cur) == 2:
+                a, b = t.adj[cur]
+                prev, cur = cur, (b if a == prev else a)
+            legs[v] += t.degree(cur) == 1
+    return legs
 
 
 def chi_square_ok(observed: dict, probs: dict, total: int, alpha: float = 0.01) -> bool:

@@ -37,6 +37,22 @@ class TestExactAndBrute:
         assert code == 2
         assert "exceeds size cap" in capsys.readouterr().err
 
+    def test_brute_cap_checked_before_allocation(self, tmp_path, capsys):
+        # building the graph would take one adjacency list per declared vertex
+        import tracemalloc
+
+        path = tmp_path / "big.txt"
+        path.write_text("1000000 0\n")
+        tracemalloc.start()
+        try:
+            code = main(["brute", "--graph", str(path), "--cap", "12"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "n=1000000 exceeds size cap 12" in capsys.readouterr().err
+        assert peak < 8 * 2**20
+
 
 class TestSamplers:
     def test_sample_tree_edge_list(self, capsys):

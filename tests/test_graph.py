@@ -14,6 +14,7 @@ from mdim.graph import (
     distance_profile,
     induced_subgraph,
     parse_graph,
+    parse_header,
     serialize_graph,
 )
 
@@ -163,6 +164,12 @@ class TestIo:
     def test_malformed_line(self):
         with pytest.raises(GraphError):
             parse_graph("2 1\n0 1 2")
+
+    def test_header_only(self):
+        assert parse_header("\n  1000000 2\n0 1\n") == (1000000, 2)
+        for text in ("", "\n \n", "3\n", "3 x\n"):
+            with pytest.raises(GraphError):
+                parse_header(text)
 
     def test_canonical_serialization(self):
         text = "3 2\n1 2\n1 0"

@@ -5,17 +5,19 @@ from helpers import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    leg_counts,
     path_graph,
     star_graph,
 )
+import mdim.metric_dimension
 from mdim.graph import Graph
 from mdim.metric_dimension import (
     ComponentTooLargeError,
     NotAForestError,
     NotATreeError,
+    ResolvingWitness,
     SizeCapError,
     brute_force_beta,
-    decorate_tree,
     forest_beta,
     graph_beta,
     is_resolving,
@@ -37,35 +39,30 @@ def spider(leg_lengths):
 
 
 class TestDecoration:
+    """Slater's rule read off the leaves and the terminals of their walks."""
+
     def test_star(self):
-        deco = decorate_tree(star_graph(3))
-        assert deco.leaves == {1, 2, 3}
-        assert deco.important == {0}
-        assert deco.legs[0] == 3
+        # leaves 1, 2, 3 all end at the centre: 3 leaves - 1 important vertex
+        assert slater_tree_beta(star_graph(3)) == ResolvingWitness(2, (2, 3))
 
     def test_path_has_no_important(self):
-        deco = decorate_tree(path_graph(4))
-        assert deco.leaves == {0, 3}
-        assert deco.important == frozenset()
+        # with no branch vertex the witness is the smaller endpoint
+        assert slater_tree_beta(path_graph(4)) == ResolvingWitness(1, (0,))
 
     def test_spider_two_step_legs(self):
-        g = spider([2, 2, 2])
-        deco = decorate_tree(g)
-        assert len(deco.leaves) == 3
-        assert deco.important == {0}
-        assert deco.legs[0] == 3
+        # leaves 2, 4, 6 walk through 1, 3, 5 to the centre; 2 is dropped
+        assert slater_tree_beta(spider([2, 2, 2])) == ResolvingWitness(2, (4, 6))
 
     def test_important_vertices_have_degree_three(self):
-        g = spider([1, 1, 2, 3])
-        deco = decorate_tree(g)
-        for v in deco.important:
-            assert g.degree(v) >= 3
+        # the degree-2 vertices 3, 5, 6 are walked through, not terminals, so
+        # leaves 1, 2, 4, 7 share the one important vertex 0
+        assert slater_tree_beta(spider([1, 1, 2, 3])) == ResolvingWitness(3, (2, 4, 7))
 
     def test_not_a_tree(self):
         with pytest.raises(NotATreeError):
-            decorate_tree(cycle_graph(4))
+            slater_tree_beta(cycle_graph(4))
         with pytest.raises(NotATreeError):
-            decorate_tree(Graph.from_edges(3, [(0, 1)]))
+            slater_tree_beta(Graph.from_edges(3, [(0, 1)]))
 
 
 class TestSlater:
@@ -198,16 +195,15 @@ class TestOracleEquivalence:
 class TestLegCharacterization:
     @given(st.integers(min_value=4, max_value=8), st.data())
     def test_leg_sum_equals_slater(self, n, data):
-        # |L| - |K| agrees with sum over vertices of (legs - 1) on non-paths
+        # |L| - |K| agrees with the sum over branch vertices of (legs - 1) on non-paths
         from mdim.generators import prufer_decode
 
         seq = data.draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
         t = prufer_decode(seq)
         if all(t.degree(v) <= 2 for v in range(t.n)):
             return
-        deco = decorate_tree(t)
-        leg_sum = sum(c - 1 for c in deco.legs.values() if c > 1)
-        assert len(deco.leaves) - len(deco.important) == leg_sum
+        leg_sum = sum(c - 1 for c in leg_counts(t).values() if c > 1)
+        assert slater_tree_beta(t).beta == leg_sum
 
 
 class TestGraphBeta:
@@ -228,3 +224,24 @@ class TestGraphBeta:
         assert graph_beta(g).beta == brute_force_beta(g).beta
         w = graph_beta(g)
         assert is_resolving(g, w.witness)
+
+    def test_oversize_checked_before_brute_force(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return brute_force_beta(*args, **kwargs)
+
+        monkeypatch.setattr(mdim.metric_dimension, "brute_force_beta", counting)
+        g = disjoint_union(cycle_graph(3), cycle_graph(15))
+        with pytest.raises(ComponentTooLargeError) as info:
+            graph_beta(g)
+        assert info.value.size == 15
+        assert calls == []
+
+    @pytest.mark.parametrize("sizes", [(20, 13), (13, 20)])
+    def test_oversize_reported_by_smallest_label(self, sizes):
+        g = disjoint_union(*(cycle_graph(k) for k in sizes))
+        with pytest.raises(ComponentTooLargeError) as info:
+            graph_beta(g)
+        assert info.value.size == sizes[0]
