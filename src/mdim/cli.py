@@ -234,6 +234,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"mdim: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("mdim: error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

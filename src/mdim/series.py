@@ -7,11 +7,11 @@ Powers of u mark leaves, powers of v mark non-leaf vertices adjacent to a
 leaf, and substituting (u, v) = (y, 1/y) turns the exponent difference
 deg_u - deg_v into the metric dimension mark.
 
-The chain of builders goes: mobiles P (implicitly defined), the split
-P = ux + U + V by whether the root touches a leaf, edge/vertex-rooted series
-for degree-2-free trees, their unrooting S = S_dot - S_arrow/2, the
-edge-subdivision substitution T = (1-x) S(x/(1-x)), and finally forests
-G = exp(T - ux) (1 + v (exp(ux) - 1)).
+`series_system` is the one builder of the chain: mobiles P (implicitly
+defined), the split P = ux + U + V by whether the root touches a leaf,
+edge/vertex-rooted series for degree-2-free trees, their unrooting
+S = S_dot - S_arrow/2, the edge-subdivision substitution
+T = (1-x) S(x/(1-x)), and finally forests G.
 """
 
 from __future__ import annotations
@@ -205,15 +205,7 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         N = self._common_order(other)
-        out = []
-        for n in range(N + 1):
-            acc = _P_ZERO
-            for k in range(n + 1):
-                a, b = self.counts[k], other.counts[n - k]
-                if a and b:
-                    acc = acc + (a * b).scale(comb(n, k))
-            out.append(acc)
-        return TruncatedSeries(N, out)
+        return TruncatedSeries(N, [_conv(self.counts, other.counts, n) for n in range(N + 1)])
 
     def poly_mul(self, p: UVPoly) -> "TruncatedSeries":
         return TruncatedSeries(self.order, [c * p for c in self.counts])
@@ -242,40 +234,21 @@ class TruncatedSeries:
         """Series exponential via B_n = sum C(n-1,k-1) A_k B_{n-k}; needs A_0 = 0."""
         if self.counts[0]:
             raise ValueError("exp requires zero constant term")
+        a = self.counts[1:]
         b = [_P_ONE]
         for n in range(1, self.order + 1):
-            acc = _P_ZERO
-            for k in range(1, n + 1):
-                a = self.counts[k]
-                e = b[n - k]
-                if a and e:
-                    acc = acc + (a * e).scale(comb(n - 1, k - 1))
-            b.append(acc)
+            b.append(_conv(a, b, n - 1))
         return TruncatedSeries(self.order, b)
 
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """Composition self(inner(x)); `inner` must have zero constant term.
 
-        Runs through ordinary coefficients with Fraction arithmetic (Horner),
-        so it is exact but not tuned for large orders.
-        """
-        if inner.counts[0]:
-            raise ValueError("composition requires inner constant term 0")
-        N = self._common_order(inner)
-        a = [self.counts[n].exact_div(factorial(n)) for n in range(N + 1)]
-        b = [inner.counts[n].exact_div(factorial(n)) for n in range(N + 1)]
-        res = [a[N]] + [_P_ZERO] * N
-        for m in range(N - 1, -1, -1):
-            nxt = [_P_ZERO] * (N + 1)
-            for i in range(N + 1):
-                if not res[i]:
-                    continue
-                for j in range(1, N + 1 - i):
-                    if b[j]:
-                        nxt[i + j] = nxt[i + j] + res[i] * b[j]
-            nxt[0] = nxt[0] + a[m]
-            res = nxt
-        return TruncatedSeries(N, [res[n].scale(factorial(n)) for n in range(N + 1)])
+def _conv(a: list[UVPoly], b: list[UVPoly], n: int) -> UVPoly:
+    """n! [x^n] of the product of two series given by their counts a and b."""
+    acc = _P_ZERO
+    for k in range(n + 1):
+        x, y = a[k], b[n - k]
+        if x and y:
+            acc = acc + (x * y).scale(comb(n, k))
+    return acc
 
 
 def x_times(order: int, poly: UVPoly, power: int = 1) -> TruncatedSeries:
@@ -296,123 +269,27 @@ def one_series(order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def _solve_P_with_exp(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """Solve P = (u-1)x + u(1-v)x^2 + (v + (1-v)exp(-ux)) x exp(P) - xP.
+def _solve_P(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """Solve the mobile equation for P (see `series_system`); return P and exp(P).
 
     Every appearance of P on the right carries a factor x, so the x^n count
     only needs counts of order < n: the fixed point is reached coefficient by
     coefficient, updating exp(P) incrementally along the way.
     """
-    N = order
-    a: list[UVPoly] = [_P_ZERO] * (N + 1)  # counts of P
-    e: list[UVPoly] = [_P_ONE] + [_P_ZERO] * N  # counts of exp(P)
+    a: list[UVPoly] = [_P_ZERO]  # counts of P
+    e: list[UVPoly] = [_P_ONE]  # counts of exp(P)
     # q_j = j! [x^j] (v + (1-v) exp(-ux))
     q: list[UVPoly] = [_P_ONE]
-    for j in range(1, N + 1):
+    for j in range(1, order + 1):
         sign = 1 if j % 2 == 0 else -1
         q.append(UVPoly({(j, 0): sign, (j, 1): -sign}))
-    base1 = UVPoly({(1, 0): 1, (0, 0): -1})  # (u - 1)
-    base2 = UVPoly({(1, 0): 2, (1, 1): -2})  # 2! u(1 - v)
-    for n in range(1, N + 1):
-        conv = _P_ZERO
-        for i in range(n):
-            qe = q[i] * e[n - 1 - i]
-            if qe:
-                conv = conv + qe.scale(comb(n - 1, i))
-        rhs = conv.scale(n) - a[n - 1].scale(n)
-        if n == 1:
-            rhs = rhs + base1
-        elif n == 2:
-            rhs = rhs + base2
-        a[n] = rhs
-        acc = _P_ZERO
-        for k in range(1, n + 1):
-            ae = a[k] * e[n - k]
-            if ae:
-                acc = acc + ae.scale(comb(n - 1, k - 1))
-        e[n] = acc
-    return TruncatedSeries(N, a), TruncatedSeries(N, e)
-
-
-def solve_P(order: int) -> TruncatedSeries:
-    """Mobile series P(x, u, v): rooted trees with a root half-edge and no
-    degree-2 vertices; unique zero-constant-term solution of its fixed-point
-    equation through the given order."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    P, _ = _solve_P_with_exp(order)
-    return P
-
-
-def derive_U_V(P: TruncatedSeries) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """Split off the single-vertex mobile: P = ux + U + V.
-
-    U roots touch a leaf: U = vx(exp(P) - exp(P-ux) - ux).
-    V roots do not:      V = x(exp(P-ux) - 1 - (P-ux)).
-    """
-    N = P.order
-    ux = x_times(N, _P_U)
-    E = P.exp()
-    A = P - ux
-    E2 = A.exp()
-    U = (E - E2 - ux).shift_x().poly_mul(_P_V)
-    V = (E2 - one_series(N) - A).shift_x()
-    return U, V
-
-
-def _rooted_special(
-    P: TruncatedSeries,
-    U: TruncatedSeries,
-    V: TruncatedSeries,
-    E: TruncatedSeries,
-    E2: TruncatedSeries,
-) -> tuple[TruncatedSeries, TruncatedSeries]:
-    N = P.order
-    ux = x_times(N, _P_U)
-    ux2 = x_times(N, _P_U, power=2)
-    one = one_series(N)
-    A = P - ux
-    uv = _P_U * _P_V
-    s_arrow = (
-        ux2
-        + U.shift_x().poly_mul(_P_U).scale(2)
-        + V.shift_x().poly_mul(uv).scale(2)
-        + U * U
-        + V * V
-        + (U * V).scale(2)
-    )
-    one_minus_v = _P_ONE - _P_V
-    tail_nonleaf = (E2 - one - A - (A * A).half()).shift_x().poly_mul(one_minus_v)
-    tail_leafy = (E - one - P - (P * P).half()).shift_x().poly_mul(_P_V)
-    s_dot = (
-        ux
-        + ux2
-        + U.shift_x().poly_mul(_P_U)
-        + V.shift_x().poly_mul(uv)
-        + tail_nonleaf
-        + tail_leafy
-    )
-    return s_arrow, s_dot
-
-
-def rooted_special_series(
-    P: TruncatedSeries, U: TruncatedSeries, V: TruncatedSeries
-) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """Edge-oriented-rooted and vertex-rooted series over degree-2-free trees.
-
-    S_arrow = ux^2 + 2uxU + 2uvxV + U^2 + V^2 + 2UV (cut the marked edge into
-    an ordered pair of mobiles).  S_dot splits on the degree of the marked
-    vertex: 0 (isolated), 1 (cut its edge), or >= 3 with/without a leaf child.
-    """
-    ux = x_times(P.order, _P_U)
-    E = P.exp()
-    E2 = (P - ux).exp()
-    return _rooted_special(P, U, V, E, E2)
-
-
-def special_series(S_dot: TruncatedSeries, S_arrow: TruncatedSeries) -> TruncatedSeries:
-    """Unroot: S = S_dot - S_arrow / 2 (vertices outnumber edges by one)."""
-    return S_dot - S_arrow.half()
+    # 1! (u - 1) and 2! u(1 - v)
+    base = {1: UVPoly({(1, 0): 1, (0, 0): -1}), 2: UVPoly({(1, 0): 2, (1, 1): -2})}
+    for n in range(1, order + 1):
+        rhs = (_conv(q, e, n - 1) - a[n - 1]).scale(n)
+        a.append(rhs + base[n] if n in base else rhs)
+        e.append(_conv(a[1:], e, n - 1))
+    return TruncatedSeries(order, a), TruncatedSeries(order, e)
 
 
 def tree_series(S: TruncatedSeries) -> TruncatedSeries:
@@ -439,18 +316,20 @@ def tree_series(S: TruncatedSeries) -> TruncatedSeries:
 
 
 def forest_series(T: TruncatedSeries) -> TruncatedSeries:
-    """Forests: G = exp(T - ux) (1 + v (exp(ux) - 1)).
+    """Forests: G = exp(T - ux) (1 + v (exp(ux) - 1)) + u(1 - v) x.
 
     Sets of non-trivial trees, times an optional non-empty set of isolated
     vertices carrying one balancing v (one isolated vertex is already
-    resolved by its all-unreachable distance vector).
+    resolved by its all-unreachable distance vector).  The lone vertex,
+    counted as uv by the product, has beta = 1 like every path: the x term
+    turns its count into u.
     """
     N = T.order
     ux = x_times(N, _P_U)
     core = (T - ux).exp()
     iso_counts = [_P_ZERO] + [UVPoly({(n, 1): 1}) for n in range(1, N + 1)]
     iso = TruncatedSeries(N, iso_counts)  # v (exp(ux) - 1)
-    return core + core * iso
+    return core + core * iso + x_times(N, UVPoly({(1, 0): 1, (1, 1): -1}))
 
 
 @dataclass(frozen=True)
@@ -496,18 +375,50 @@ class SeriesSystem:
 
 
 DEFAULT_ORDER = 30
+MAX_ORDER = 100  # build time grows like order^7: about 2 s at order 45
 
 
 def series_system(order: int = DEFAULT_ORDER) -> SeriesSystem:
-    """Solve the whole chain, sharing the expensive exponentials."""
-    P, E = _solve_P_with_exp(order)
+    """Solve the whole chain at one truncation order.
+
+    Mobiles are rooted trees with a root half-edge and no degree-2 vertices.
+    Their series P(x, u, v) is the unique zero-constant-term solution of
+        P = (u-1)x + u(1-v)x^2 + (v + (1-v)exp(-ux)) x exp(P) - xP.
+    Splitting off the single-vertex mobile, P = ux + U + V with A = P - ux:
+    U roots touch a leaf, U = vx(exp(P) - exp(A) - ux), and V roots do not,
+    V = x(exp(A) - 1 - A).  Over degree-2-free trees, cutting a marked
+    oriented edge into an ordered pair of mobiles gives
+        S_arrow = ux^2 + 2uxU + 2uvxV + (U + V)^2,
+    and splitting a marked vertex on its degree (0, 1, or >= 3 with or
+    without a leaf child) gives
+        S_dot = ux + ux^2 + uxU + uvxV
+                + (1-v)x(exp(A) - 1 - A - A^2/2) + vx(exp(P) - 1 - P - P^2/2).
+    Vertices outnumber edges by one, so S = S_dot - S_arrow/2; then
+    `tree_series` gives T and `forest_series` gives G.
+    """
+    if not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"series order {order} outside 0..{MAX_ORDER}")
+    P, E = _solve_P(order)
     ux = x_times(order, _P_U)
+    ux2 = x_times(order, _P_U, power=2)
+    one = one_series(order)
     A = P - ux
     E2 = A.exp()
     U = (E - E2 - ux).shift_x().poly_mul(_P_V)
-    V = (E2 - one_series(order) - A).shift_x()
-    S_arrow, S_dot = _rooted_special(P, U, V, E, E2)
-    S = special_series(S_dot, S_arrow)
+    V = (E2 - one - A).shift_x()
+    uxU = U.shift_x().poly_mul(_P_U)
+    uvxV = V.shift_x().poly_mul(_P_U * _P_V)
+    W = U + V
+    S_arrow = ux2 + uxU.scale(2) + uvxV.scale(2) + W * W
+    S_dot = (
+        ux
+        + ux2
+        + uxU
+        + uvxV
+        + (E2 - one - A - (A * A).half()).shift_x().poly_mul(_P_ONE - _P_V)
+        + (E - one - P - (P * P).half()).shift_x().poly_mul(_P_V)
+    )
+    S = S_dot - S_arrow.half()
     T = tree_series(S)
     G = forest_series(T)
     return SeriesSystem(order, P, U, V, S_arrow, S_dot, S, T, G)

@@ -1,10 +1,14 @@
-"""Shared test utilities: chi-square goodness of fit, small graph builders, leg counts."""
+"""Shared test utilities: chi-square goodness of fit, small graph builders, leg
+counts, and a generic series composition oracle."""
 
 from __future__ import annotations
+
+from math import factorial
 
 from scipy.stats import chi2
 
 from mdim.graph import Graph
+from mdim.series import TruncatedSeries, UVPoly
 
 
 def path_graph(n: int) -> Graph:
@@ -71,3 +75,28 @@ def chi_square_ok(observed: dict, probs: dict, total: int, alpha: float = 0.01) 
     if df < 1:
         return True
     return stat <= chi2.ppf(1 - alpha, df)
+
+
+def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
+    """Composition outer(inner(x)); `inner` must have zero constant term.
+
+    Runs through ordinary coefficients with Fraction arithmetic (Horner),
+    so it is exact but not tuned for large orders.
+    """
+    if inner.counts[0]:
+        raise ValueError("composition requires inner constant term 0")
+    N = min(outer.order, inner.order)
+    a = [outer.counts[n].exact_div(factorial(n)) for n in range(N + 1)]
+    b = [inner.counts[n].exact_div(factorial(n)) for n in range(N + 1)]
+    res = [a[N]] + [UVPoly()] * N
+    for m in range(N - 1, -1, -1):
+        nxt = [UVPoly()] * (N + 1)
+        for i in range(N + 1):
+            if not res[i]:
+                continue
+            for j in range(1, N + 1 - i):
+                if b[j]:
+                    nxt[i + j] = nxt[i + j] + res[i] * b[j]
+        nxt[0] = nxt[0] + a[m]
+        res = nxt
+    return TruncatedSeries(N, [res[n].scale(factorial(n)) for n in range(N + 1)])

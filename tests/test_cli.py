@@ -104,6 +104,39 @@ class TestSeriesCommands:
         doc = json.loads(out)
         assert doc["pmf"] == {"1": "6/7", "2": "1/7"}
 
+    def test_dist_forest_single_vertex(self, capsys):
+        # the lone vertex has beta = 1, as forest_beta and brute_force_beta say
+        code, out = run_cli(capsys, "dist", "--model", "forest", "--n", "1")
+        assert code == 0
+        assert json.loads(out)["pmf"] == {"1": "1"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["series", "--order", "101"], ["dist", "--model", "tree", "--n", "101"]],
+    )
+    def test_order_cap(self, capsys, monkeypatch, argv):
+        # the bound is checked before any series is built
+        import mdim.series
+
+        def no_build(order):
+            raise AssertionError("series built past the order cap")
+
+        monkeypatch.setattr(mdim.series, "_solve_P", no_build)
+        assert main(argv) == 2
+        assert "mdim: error: series order 101 outside 0..100" in capsys.readouterr().err
+
+
+class TestErrors:
+    def test_memory_error_exit_code(self, capsys, monkeypatch):
+        import mdim.cli
+
+        def out_of_memory(args):
+            raise MemoryError
+
+        monkeypatch.setattr(mdim.cli, "cmd_constants", out_of_memory)
+        assert main(["constants"]) == 2
+        assert capsys.readouterr().err == "mdim: error: out of memory\n"
+
 
 class TestConstantsCommands:
     def test_constants_json(self, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction as F
@@ -5,19 +6,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import compose
 from mdim.generators import enumerate_trees
-from mdim.metric_dimension import brute_force_beta, slater_tree_beta
+from mdim.metric_dimension import brute_force_beta, forest_beta, slater_tree_beta
 from mdim.series import (
     TruncatedSeries,
     UVPoly,
     beta_distribution,
-    derive_U_V,
-    forest_series,
     one_series,
-    rooted_special_series,
     series_system,
-    solve_P,
-    special_series,
     tree_series,
     x_times,
 )
@@ -83,14 +80,15 @@ class TestSolveP:
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
-            solve_P(0)
+            series_system(-1)
+
+    def test_order_zero(self):
+        assert series_system(0).G.count_poly(0) == ONE
 
 
 class TestMobileSplit:
     def test_partition_identity(self, sys12):
-        P = sys12.P
-        U_, V_ = derive_U_V(P)
-        assert x_times(P.order, U) + U_ + V_ == P
+        assert x_times(sys12.order, U) + sys12.U + sys12.V == sys12.P
 
     def test_U_valuation(self, sys12):
         assert sys12.U.valuation() == 3
@@ -114,11 +112,6 @@ class TestRootedSpecial:
         for series in (sys12.S_arrow, sys12.S_dot):
             for n in range(series.order + 1):
                 assert all(c > 0 for c in series.count_poly(n).terms.values())
-
-    def test_matches_public_entry_point(self, sys12):
-        s_arrow, s_dot = rooted_special_series(sys12.P, sys12.U, sys12.V)
-        assert s_arrow == sys12.S_arrow
-        assert s_dot == sys12.S_dot
 
 
 # taylor displays frozen as exact rationals, keyed by (deg_u, deg_v)
@@ -282,6 +275,26 @@ class TestTriangleOfTruth:
         assert {b: F(c, total) for b, c in hist.items()} == pmf
         assert brute_checked == 4096
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_forest_pmf_vs_both_oracles(self, n, sys12):
+        # every labelled forest on n vertices: the acyclic edge subsets of K_n
+        from mdim.graph import ComponentKind, Graph, connected_components
+
+        pairs = list(itertools.combinations(range(n), 2))
+        hist_forest = Counter()
+        hist_brute = Counter()
+        for mask in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            if ComponentKind.NON_TREE in connected_components(g).kinds:
+                continue
+            hist_forest[forest_beta(g).beta] += 1
+            hist_brute[brute_force_beta(g).beta] += 1
+        total = sum(hist_forest.values())
+        assert total == [1, 2, 7, 38, 291][n - 1]
+        pmf = beta_distribution(sys12.G, n).pmf
+        assert {b: F(c, total) for b, c in hist_forest.items()} == pmf
+        assert hist_forest == hist_brute
+
 
 small_polys = st.builds(
     lambda d: UVPoly(d),
@@ -312,11 +325,11 @@ class TestSeriesAlgebra:
 
     @given(series_val1, series_val1, series_val1)
     def test_compose_associativity(self, a, b, c):
-        assert a.compose(b).compose(c) == a.compose(b.compose(c))
+        assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
     @given(series_val1, series_val1, series_val1)
     def test_compose_is_linear_on_the_left(self, a, b, c):
-        assert (a + b).compose(c) == a.compose(c) + b.compose(c)
+        assert compose(a + b, c) == compose(a, c) + compose(b, c)
 
     def test_exp_requires_zero_constant_term(self):
         with pytest.raises(ValueError):
@@ -329,7 +342,7 @@ class TestSeriesAlgebra:
         sub = TruncatedSeries(
             N, [UVPoly()] + [UVPoly({(0, 0): math.factorial(n)}) for n in range(1, N + 1)]
         )  # x/(1-x): every count is n!
-        comp = S.compose(sub)
+        comp = compose(S, sub)
         one_minus_x = TruncatedSeries(
             N,
             [UVPoly({(0, 0): 1}), UVPoly({(0, 0): -1})] + [UVPoly()] * (N - 1),
