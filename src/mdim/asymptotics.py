@@ -11,9 +11,9 @@ off the mean and variance slopes mu = -R'(1)/R(1) and
 sigma^2 = -R''(1)/R(1) - R'(1)/R(1) + (R'(1)/R(1))^2.
 
 For G(n, c/n) with c < 1 the linear-term constant of the expected metric
-dimension is C(c); the series form sums contributions of isolated vertices,
-leaves, branch vertices with a pendant path, and path components, and the
-closed form evaluates those sums exactly.
+dimension is C(c).  It sums contributions of isolated vertices, leaves,
+branch vertices with a pendant path, and path components; `C_closed`
+evaluates those sums exactly.
 """
 
 from __future__ import annotations
@@ -93,26 +93,16 @@ def _partials(r: float, y: float) -> tuple[float, float, float, float, float]:
     return phi_r, phi_y, phi_rr, phi_ry, phi_yy
 
 
-def rho_derivatives(cross_check_tol: float = 1e-6) -> tuple[float, float]:
+def rho_derivatives() -> tuple[float, float]:
     """rho'(1) and rho''(1) by implicit differentiation of the relation.
 
     Differentiating phi(rho(y), y) = 0 once and twice in y gives linear
-    equations for the derivatives at y = 1.  A 5-point finite-difference
-    stencil (step 1e-3) over solve_rho cross-checks both values.
+    equations for the derivatives at y = 1.
     """
     rho1 = solve_rho(1.0)
     phi_r, phi_y, phi_rr, phi_ry, phi_yy = _partials(rho1, 1.0)
     d1 = -phi_y / phi_r
     d2 = -(phi_yy + 2.0 * phi_ry * d1 + phi_rr * d1 * d1) / phi_r
-
-    h = 1e-3
-    r = {k: solve_rho(1.0 + k * h) for k in (-2, -1, 0, 1, 2)}
-    fd1 = (r[-2] - 8.0 * r[-1] + 8.0 * r[1] - r[2]) / (12.0 * h)
-    fd2 = (-r[-2] + 16.0 * r[-1] - 30.0 * r[0] + 16.0 * r[1] - r[2]) / (12.0 * h * h)
-    if abs(d1 - fd1) > cross_check_tol or abs(d2 - fd2) > cross_check_tol:
-        raise ConvergenceError(
-            f"implicit/finite-difference disagreement: {d1} vs {fd1}, {d2} vs {fd2}"
-        )
     return d1, d2
 
 
@@ -140,30 +130,6 @@ def tree_constants() -> AsymptoticConstants:
     mu = -ratio
     sigma2 = -R_d2 / R1 - ratio + ratio * ratio
     return AsymptoticConstants(rho1, d1, d2, R1, R_d1, R_d2, mu, sigma2)
-
-
-def tau_partial_sums(order: int = 30) -> list[float]:
-    """Partial sums of the mobile series at its singularity, u = v = 1.
-
-    The limit is 1 = rho(1) + (e-2)/(e-1); the partial sums increase to it
-    from below (all counts are non-negative).
-    """
-    from .series import cached_system
-
-    P = cached_system(order).P
-    rho1 = solve_rho(1.0)
-    sums = []
-    acc = 0.0
-    for n in range(order + 1):
-        cnt = P.count_poly(n).evaluate(1, 1)
-        acc += float(cnt) / math.factorial(n) * rho1**n
-        sums.append(acc)
-    return sums
-
-
-def check_tau(order: int = 30) -> float:
-    """Evaluate the truncated mobile series at x = rho(1); approaches 1 from below."""
-    return tau_partial_sums(order)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -198,57 +164,6 @@ def C_closed(c: float, dps: int | None = None):
         return _c_closed(c, math)
     with mpmath.workdps(dps):
         return _c_closed(mpmath.mpf(c), mpmath)
-
-
-def _c_series(c, m, tol):
-    emc = m.exp(-c)
-    q = (1 - (c + 1) * emc) / (1 - c * emc)
-    s_branch = c * 0
-    term = c**3 / 6
-    k = 3
-    kmax = 3
-    while term >= tol:
-        s_branch += term * (1 - q**k)
-        k += 1
-        term = term * c / k
-        kmax = k
-    s_path = c * 0
-    ratio = c * emc
-    term = ratio / 2
-    k = 2
-    while term >= tol:
-        s_path += term
-        term *= ratio
-        k += 1
-        kmax = max(kmax, k)
-    return emc * (1 + c - s_branch - s_path), kmax
-
-
-def C_series(c: float, tol: float = 1e-15, dps: int | None = None):
-    """Same constant as `C_closed`, by direct term-by-term summation.
-
-    Both sums stop when the next term drops below `tol`.
-    """
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"c={c} outside (0, 1)")
-    if dps is None:
-        return _c_series(c, math, tol)[0]
-    with mpmath.workdps(dps):
-        return _c_series(mpmath.mpf(c), mpmath, mpmath.mpf(tol))[0]
-
-
-@dataclass(frozen=True)
-class GnpConstant:
-    c: float
-    C_closed: float
-    C_series: float
-    truncation_k: int
-
-
-def gnp_constant(c: float, tol: float = 1e-15) -> GnpConstant:
-    closed = C_closed(c)
-    series, kmax = _c_series(c, math, tol)
-    return GnpConstant(c, closed, series, kmax)
 
 
 def c_curve(c_min: float, c_max: float, step: float) -> list[tuple[float, float]]:

@@ -145,7 +145,6 @@ def cmd_mc(args) -> int:
         output=args.out,
         format=args.format,
     )
-    cfg.validate()
     result = run_experiment(cfg)
     text = emit(result)
     if not args.out:

@@ -12,6 +12,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtr
@@ -150,31 +151,17 @@ class ExperimentResult:
         return out
 
 
-def _replicate_beta(cfg: ExperimentConfig, index: int, table=None) -> int | None:
+def _replicate_beta(cfg: ExperimentConfig, index: int) -> int | None:
     rng = SeededRng(cfg.seed, index).generator()
     if cfg.model == "uniform-tree":
         return slater_tree_beta(sample_uniform_tree(cfg.n, rng)).beta
     if cfg.model == "uniform-forest":
-        return forest_beta(sample_uniform_forest(cfg.n, rng, table)).beta
+        return forest_beta(sample_uniform_forest(cfg.n, rng)).beta
     g = sample_gnp(cfg.n, cfg.edge_probability(), rng)
     try:
         return graph_beta(g, brute_cap=cfg.brute_cap).beta
     except ComponentTooLargeError:
         return None
-
-
-_WORKER_CFG: ExperimentConfig | None = None
-_WORKER_TABLE = None
-
-
-def _worker_init(cfg: ExperimentConfig) -> None:
-    global _WORKER_CFG, _WORKER_TABLE
-    _WORKER_CFG = cfg
-    _WORKER_TABLE = forest_counts(cfg.n) if cfg.model == "uniform-forest" else None
-
-
-def _worker_run(index: int) -> int | None:
-    return _replicate_beta(_WORKER_CFG, index, _WORKER_TABLE)
 
 
 def _worker_count(replicates: int) -> int:
@@ -195,16 +182,16 @@ def predicted_constants(cfg: ExperimentConfig) -> dict[str, float]:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all replicates (stream i for replicate i) and collect statistics."""
     cfg.validate()
+    if cfg.model == "uniform-forest":
+        forest_counts(cfg.n)  # fill the sampler's cache once; forked workers inherit it
     workers = _worker_count(cfg.replicates)
     if workers == 1:
-        table = forest_counts(cfg.n) if cfg.model == "uniform-forest" else None
-        betas = [_replicate_beta(cfg, i, table) for i in range(cfg.replicates)]
+        betas = [_replicate_beta(cfg, i) for i in range(cfg.replicates)]
     else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(cfg,)
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, cfg.replicates // (4 * workers))
-            betas = list(pool.map(_worker_run, range(cfg.replicates), chunksize=chunk))
+            replicate = partial(_replicate_beta, cfg)
+            betas = list(pool.map(replicate, range(cfg.replicates), chunksize=chunk))
     return ExperimentResult(cfg, betas, predicted_constants(cfg))
 
 
@@ -259,17 +246,6 @@ def emit(result: ExperimentResult, format: str | None = None, path: str | None =
         with open(target, "w") as fh:
             fh.write(text)
     return text
-
-
-def parse_csv_betas(text: str) -> list[int | None]:
-    """Read back the per-replicate column of `render_csv` output."""
-    betas: list[int | None] = []
-    for line in text.splitlines()[1:]:
-        if not line.strip():
-            break
-        _, _, val = line.partition(",")
-        betas.append(int(val) if val else None)
-    return betas
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Random and exhaustive generators: uniform labelled trees and forests, G(n,p).
+"""Random generators: uniform labelled trees and forests, G(n,p).
 
 All samplers draw from a named, splittable RNG (PCG64 seeded through a
 SeedSequence spawn key), so replicate i of a run is reproducible bit-for-bit
@@ -10,9 +10,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 from math import comb, isqrt
-from typing import Iterator
 
 import numpy as np
 
@@ -47,8 +45,8 @@ def _randbelow(rng: np.random.Generator, bound: int) -> int:
             return r
 
 
-def prufer_decode(seq: list[int] | tuple[int, ...]) -> Graph:
-    """Decode a Pruefer sequence of length n-2 into the labelled tree on n >= 2 vertices."""
+def _prufer_edges(seq: list[int] | tuple[int, ...]) -> list[tuple[int, int]]:
+    """Edges of the labelled tree on n = len(seq) + 2 vertices with Pruefer sequence `seq`."""
     n = len(seq) + 2
     deg = [1] * n
     for x in seq:
@@ -73,7 +71,12 @@ def prufer_decode(seq: list[int] | tuple[int, ...]) -> Graph:
             ptr += 1
         leaf = ptr
     edges.append((leaf, n - 1))
-    return Graph.from_edges(n, edges)
+    return edges
+
+
+def prufer_decode(seq: list[int] | tuple[int, ...]) -> Graph:
+    """Decode a Pruefer sequence of length n-2 into the labelled tree on n >= 2 vertices."""
+    return Graph.from_edges(len(seq) + 2, _prufer_edges(seq))
 
 
 def sample_uniform_tree(n: int, rng: np.random.Generator) -> Graph:
@@ -82,18 +85,8 @@ def sample_uniform_tree(n: int, rng: np.random.Generator) -> Graph:
         raise ValueError("n must be >= 1")
     if n == 1:
         return Graph.from_edges(1, [])
-    if n == 2:
-        return Graph.from_edges(2, [(0, 1)])
     seq = rng.integers(0, n, size=n - 2)
     return prufer_decode([int(x) for x in seq])
-
-
-def enumerate_trees(n: int) -> Iterator[Graph]:
-    """All n^(n-2) labelled trees on n vertices, 2 <= n <= 8."""
-    if not 2 <= n <= 8:
-        raise ValueError(f"enumeration supported for 2 <= n <= 8, got {n}")
-    for seq in product(range(n), repeat=n - 2):
-        yield prufer_decode(seq)
 
 
 @dataclass(frozen=True)
@@ -103,10 +96,6 @@ class ForestCountTable:
     t: tuple[int, ...]
     f: tuple[int, ...]
     _cums: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def size(self) -> int:
-        return len(self.f) - 1
 
     def component_cumweights(self, m: int) -> list[int]:
         """Cumulative weights for the size k of the component holding the
@@ -138,21 +127,17 @@ def forest_counts(n: int) -> ForestCountTable:
     return ForestCountTable(tuple(t), tuple(f))
 
 
-def sample_uniform_forest(
-    n: int, rng: np.random.Generator, table: ForestCountTable | None = None
-) -> Graph:
+def sample_uniform_forest(n: int, rng: np.random.Generator) -> Graph:
     """Uniform labelled forest on n vertices.
 
     Peels off the component containing the smallest unused label, whose size k
     has probability C(m-1,k-1) t_k f_{m-k} / f_m among m remaining labels; the
-    component itself is then a uniform tree on its label set.
+    component itself is then a uniform tree on its label set.  The counts
+    come from the `forest_counts` cache, built on the first call for n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if table is None:
-        table = forest_counts(n)
-    if n > table.size:
-        raise ValueError(f"n={n} exceeds precomputed table size {table.size}")
+    table = forest_counts(n)
     available = list(range(n))
     edges: list[tuple[int, int]] = []
     while available:
@@ -170,12 +155,8 @@ def sample_uniform_forest(
             members = [anchor] + [rest[i] for i in picks]
             chosen = set(picks)
             available = [v for i, v in enumerate(rest) if i not in chosen]
-            if k == 2:
-                edges.append((members[0], members[1]))
-            else:
-                seq = [int(x) for x in rng.integers(0, k, size=k - 2)]
-                for a, b in prufer_decode(seq).edges():
-                    edges.append((members[a], members[b]))
+            seq = [int(x) for x in rng.integers(0, k, size=k - 2)]
+            edges.extend((members[a], members[b]) for a, b in _prufer_edges(seq))
     return Graph.from_edges(n, edges)
 
 

@@ -189,6 +189,9 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
     return Graph.from_edges(len(verts), edges), verts
 
 
+MAX_VERTICES = 10**6  # largest n `parse_graph` accepts
+
+
 def _content_lines(text: str) -> list[str]:
     return [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
 
@@ -212,8 +215,13 @@ def parse_header(text: str) -> tuple[int, int]:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse the edge-list format: header line "n m", then m lines "u v"."""
+    """Parse the edge-list format: header line "n m", then m lines "u v".
+
+    A header with n > MAX_VERTICES is rejected before anything is built.
+    """
     n, m = parse_header(text)
+    if n > MAX_VERTICES:
+        raise GraphError(f"n={n} exceeds the vertex limit {MAX_VERTICES}")
     lines = _content_lines(text)
     if m != len(lines) - 1:
         raise GraphError(f"header declares {m} edges, found {len(lines) - 1}")

@@ -37,9 +37,6 @@ class UVPoly:
         poly.terms = terms
         return poly
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -78,9 +75,6 @@ class UVPoly:
                 out.pop(k, None)
         return UVPoly._raw(out)
 
-    def __neg__(self) -> "UVPoly":
-        return UVPoly._raw({k: -c for k, c in self.terms.items()})
-
     def __mul__(self, other: "UVPoly") -> "UVPoly":
         if not self.terms or not other.terms:
             return _P_ZERO
@@ -101,24 +95,17 @@ class UVPoly:
         return UVPoly._raw({k: c * s for k, c in self.terms.items()})
 
     def exact_div(self, d: int) -> "UVPoly":
+        """Divide integer coefficients by d; a remainder is an internal error."""
         out: dict[Key, object] = {}
         for k, c in self.terms.items():
-            if isinstance(c, int):
-                q, r = divmod(c, d)
-                if r:
-                    out[k] = Fraction(c, d)
-                else:
-                    out[k] = q
-            else:
-                out[k] = c / d
+            q, r = divmod(c, d)
+            if r:
+                raise AssertionError(f"coefficient {c} of {k} not divisible by {d}")
+            out[k] = q
         return UVPoly._raw(out)
 
     def to_fractions(self, den: int) -> dict[Key, Fraction]:
         return {k: Fraction(c) / den for k, c in self.terms.items()}
-
-    def evaluate(self, u, v):
-        """Substitute numbers for u and v."""
-        return sum(c * u**a * v**b for (a, b), c in self.terms.items())
 
     def y_powers(self) -> dict[int, object]:
         """Coefficients after (u, v) -> (y, 1/y): key is deg_u - deg_v."""
@@ -170,23 +157,12 @@ class TruncatedSeries:
         den = factorial(n)
         return {k: Fraction(c) / den for k, c in self.count_poly(n).y_powers().items()}
 
-    def valuation(self) -> int:
-        for n, c in enumerate(self.counts):
-            if c:
-                return n
-        return self.order + 1
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, TruncatedSeries)
             and self.order == other.order
             and self.counts == other.counts
         )
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(order, self.counts[: order + 1])
 
     # -- ring operations --------------------------------------------------
     def _common_order(self, other: "TruncatedSeries") -> int:
@@ -199,9 +175,6 @@ class TruncatedSeries:
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         N = self._common_order(other)
         return TruncatedSeries(N, [self.counts[n] - other.counts[n] for n in range(N + 1)])
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.order, [-c for c in self.counts])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         N = self._common_order(other)
@@ -219,13 +192,6 @@ class TruncatedSeries:
         for n in range(1, self.order + 1):
             out.append(self.counts[n - 1].scale(n))
         return TruncatedSeries(self.order, out)
-
-    def unshift_x(self) -> "TruncatedSeries":
-        """Divide by x; requires zero constant term.  Last coefficient is lost."""
-        if self.counts[0]:
-            raise ValueError("series not divisible by x")
-        out = [self.counts[n + 1].exact_div(n + 1) for n in range(self.order)]
-        return TruncatedSeries(self.order - 1, out)
 
     def half(self) -> "TruncatedSeries":
         return TruncatedSeries(self.order, [c.exact_div(2) for c in self.counts])
@@ -374,11 +340,10 @@ class SeriesSystem:
     G: TruncatedSeries
 
 
-DEFAULT_ORDER = 30
 MAX_ORDER = 100  # build time grows like order^7: about 2 s at order 45
 
 
-def series_system(order: int = DEFAULT_ORDER) -> SeriesSystem:
+def series_system(order: int) -> SeriesSystem:
     """Solve the whole chain at one truncation order.
 
     Mobiles are rooted trees with a root half-edge and no degree-2 vertices.
@@ -427,7 +392,7 @@ def series_system(order: int = DEFAULT_ORDER) -> SeriesSystem:
 _SYSTEM_CACHE: dict[int, SeriesSystem] = {}
 
 
-def cached_system(order: int = DEFAULT_ORDER) -> SeriesSystem:
+def cached_system(order: int) -> SeriesSystem:
     sys = _SYSTEM_CACHE.get(order)
     if sys is None:
         sys = _SYSTEM_CACHE[order] = series_system(order)

@@ -1,14 +1,24 @@
 """Shared test utilities: chi-square goodness of fit, small graph builders, leg
-counts, and a generic series composition oracle."""
+counts, and the reference oracles the library is checked against: tree
+enumeration, generic series composition, the term-by-term series for C(c),
+the mobile series' partial sums, a finite-difference stencil for rho, and a
+CSV reader for `mdim mc` output."""
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from itertools import product
 from math import factorial
+from typing import Iterator
 
+import mpmath
 from scipy.stats import chi2
 
+from mdim.asymptotics import solve_rho
+from mdim.generators import prufer_decode
 from mdim.graph import Graph
-from mdim.series import TruncatedSeries, UVPoly
+from mdim.series import TruncatedSeries, UVPoly, cached_system
 
 
 def path_graph(n: int) -> Graph:
@@ -86,8 +96,8 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     if inner.counts[0]:
         raise ValueError("composition requires inner constant term 0")
     N = min(outer.order, inner.order)
-    a = [outer.counts[n].exact_div(factorial(n)) for n in range(N + 1)]
-    b = [inner.counts[n].exact_div(factorial(n)) for n in range(N + 1)]
+    a = [outer.counts[n].scale(Fraction(1, factorial(n))) for n in range(N + 1)]
+    b = [inner.counts[n].scale(Fraction(1, factorial(n))) for n in range(N + 1)]
     res = [a[N]] + [UVPoly()] * N
     for m in range(N - 1, -1, -1):
         nxt = [UVPoly()] * (N + 1)
@@ -100,3 +110,89 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
         nxt[0] = nxt[0] + a[m]
         res = nxt
     return TruncatedSeries(N, [res[n].scale(factorial(n)) for n in range(N + 1)])
+
+
+def enumerate_trees(n: int) -> Iterator[Graph]:
+    """All n^(n-2) labelled trees on n vertices, 2 <= n <= 8."""
+    if not 2 <= n <= 8:
+        raise ValueError(f"enumeration supported for 2 <= n <= 8, got {n}")
+    for seq in product(range(n), repeat=n - 2):
+        yield prufer_decode(seq)
+
+
+def sum_c_series(c, m, tol):
+    """Term-by-term sums behind C(c), over the math backend `m`.
+
+    Returns the value and the largest index k either sum reached; both sums
+    stop when the next term drops below `tol`.
+    """
+    emc = m.exp(-c)
+    q = (1 - (c + 1) * emc) / (1 - c * emc)
+    s_branch = c * 0
+    term = c**3 / 6
+    k = 3
+    kmax = 3
+    while term >= tol:
+        s_branch += term * (1 - q**k)
+        k += 1
+        term = term * c / k
+        kmax = k
+    s_path = c * 0
+    ratio = c * emc
+    term = ratio / 2
+    k = 2
+    while term >= tol:
+        s_path += term
+        term *= ratio
+        k += 1
+        kmax = max(kmax, k)
+    return emc * (1 + c - s_branch - s_path), kmax
+
+
+def C_series(c: float, tol: float = 1e-15, dps: int | None = None):
+    """Same constant as `mdim.asymptotics.C_closed`, by direct summation.
+
+    `dps` switches to mpmath with that many significant digits.
+    """
+    if not 0.0 < c < 1.0:
+        raise ValueError(f"c={c} outside (0, 1)")
+    if dps is None:
+        return sum_c_series(c, math, tol)[0]
+    with mpmath.workdps(dps):
+        return sum_c_series(mpmath.mpf(c), mpmath, mpmath.mpf(tol))[0]
+
+
+def tau_partial_sums(order: int) -> list[float]:
+    """Partial sums of the mobile series at its singularity, u = v = 1.
+
+    The limit is 1 = rho(1) + (e-2)/(e-1); the partial sums increase to it
+    from below (all counts are non-negative).
+    """
+    P = cached_system(order).P
+    rho1 = solve_rho(1.0)
+    sums = []
+    acc = 0.0
+    for n in range(order + 1):
+        cnt = sum(P.count_poly(n).terms.values())
+        acc += float(cnt) / factorial(n) * rho1**n
+        sums.append(acc)
+    return sums
+
+
+def rho_stencil(h: float = 1e-3) -> tuple[float, float]:
+    """rho'(1) and rho''(1) by 5-point finite differences over `solve_rho`."""
+    r = {k: solve_rho(1.0 + k * h) for k in (-2, -1, 0, 1, 2)}
+    fd1 = (r[-2] - 8.0 * r[-1] + 8.0 * r[1] - r[2]) / (12.0 * h)
+    fd2 = (-r[-2] + 16.0 * r[-1] - 30.0 * r[0] + 16.0 * r[1] - r[2]) / (12.0 * h * h)
+    return fd1, fd2
+
+
+def parse_csv_betas(text: str) -> list[int | None]:
+    """Read back the per-replicate column of `render_csv` output."""
+    betas: list[int | None] = []
+    for line in text.splitlines()[1:]:
+        if not line.strip():
+            break
+        _, _, val = line.partition(",")
+        betas.append(int(val) if val else None)
+    return betas

@@ -54,6 +54,22 @@ class TestExactAndBrute:
         assert peak < 8 * 2**20
 
 
+    def test_exact_vertex_limit_checked_before_allocation(self, tmp_path, capsys):
+        import tracemalloc
+
+        path = tmp_path / "big.txt"
+        path.write_text("1000001 0\n")
+        tracemalloc.start()
+        try:
+            code = main(["exact", "--graph", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "n=1000001 exceeds the vertex limit 1000000" in capsys.readouterr().err
+        assert peak < 8 * 2**20
+
+
 class TestSamplers:
     def test_sample_tree_edge_list(self, capsys):
         code, out = run_cli(capsys, "sample-tree", "--n", "12", "--seed", "3")

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import chi_square_ok
+from helpers import chi_square_ok, parse_csv_betas
 from mdim.experiments import (
     DegenerateSampleError,
     ExperimentConfig,
@@ -13,7 +13,6 @@ from mdim.experiments import (
     check_tolerances,
     emit,
     normality_stats,
-    parse_csv_betas,
     render_csv,
     render_json,
     run_experiment,
@@ -133,18 +132,21 @@ class TestDeterminism:
         assert a == b
 
     def test_worker_count_does_not_change_output(self):
-        cfg = small_cfg(replicates=64)
-        serial = render_csv(run_experiment(cfg))
-        old = os.environ.get("MDIM_WORKERS")
-        os.environ["MDIM_WORKERS"] = "2"
-        try:
-            parallel = render_csv(run_experiment(cfg))
-        finally:
-            if old is None:
-                del os.environ["MDIM_WORKERS"]
-            else:
-                os.environ["MDIM_WORKERS"] = old
-        assert serial == parallel
+        for cfg in (
+            small_cfg(replicates=64),
+            small_cfg(model="uniform-forest", n=40, replicates=32),
+        ):
+            serial = render_csv(run_experiment(cfg))
+            old = os.environ.get("MDIM_WORKERS")
+            os.environ["MDIM_WORKERS"] = "2"
+            try:
+                parallel = render_csv(run_experiment(cfg))
+            finally:
+                if old is None:
+                    del os.environ["MDIM_WORKERS"]
+                else:
+                    os.environ["MDIM_WORKERS"] = old
+            assert serial == parallel, cfg.model
 
 
 class TestEmit:

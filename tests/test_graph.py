@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from helpers import complete_graph, path_graph, star_graph
 from mdim.graph import (
+    MAX_VERTICES,
     UNREACHABLE,
     ComponentKind,
     Graph,
@@ -170,6 +171,10 @@ class TestIo:
         for text in ("", "\n \n", "3\n", "3 x\n"):
             with pytest.raises(GraphError):
                 parse_header(text)
+
+    def test_vertex_limit(self):
+        with pytest.raises(GraphError, match="exceeds the vertex limit"):
+            parse_graph(f"{MAX_VERTICES + 1} 0\n")
 
     def test_canonical_serialization(self):
         text = "3 2\n1 2\n1 0"

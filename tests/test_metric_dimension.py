@@ -159,7 +159,7 @@ class TestBruteForce:
 
 class TestOracleEquivalence:
     def test_exhaustive_small_trees(self):
-        from mdim.generators import enumerate_trees
+        from helpers import enumerate_trees
 
         for n in range(2, 7):
             for t in enumerate_trees(n):
