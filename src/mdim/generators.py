@@ -113,17 +113,41 @@ class ForestCountTable:
         return cached
 
 
+def _forest_count(m: int) -> int:
+    """Labelled forests on m vertices, by Takacs' closed form (1990):
+
+        (m+1) f_m = sum_{j <= m/2} (-1)^j (2j+1) C(m,2j) (2j-1)!! (m+1)^(m-2j),
+
+    evaluated by Horner's rule in (m+1)^2 with c_j = C(m,2j) (2j-1)!!.
+    """
+    x = (m + 1) ** 2
+    c = acc = 1
+    for j in range(1, m // 2 + 1):
+        c = c * (m - 2 * j + 2) * (m - 2 * j + 1) // (2 * j)
+        term = (2 * j + 1) * c
+        acc = acc * x + (-term if j & 1 else term)
+    if m & 1:
+        return acc  # the odd power (m+1)^1 cancels the division
+    f, rem = divmod(acc, m + 1)
+    if rem:
+        raise AssertionError(f"closed form for f_{m} not divisible by {m + 1}")
+    return f
+
+
 @lru_cache(maxsize=8)
 def forest_counts(n: int) -> ForestCountTable:
-    """Big-integer tables t_k = k^(k-2) and the forest recurrence f_0..f_n."""
+    """Big-integer tables t_k = k^(k-2) and the forest counts f_0..f_n.
+
+    Each f_m comes from Takacs' closed form; `component_cumweights` checks
+    it against the recurrence f_m = sum_k C(m-1,k-1) t_k f_(m-k) at every m
+    the sampler visits.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     t = [0] * (n + 1)
     for k in range(1, n + 1):
         t[k] = 1 if k == 1 else k ** (k - 2)
-    f = [1] + [0] * n
-    for m in range(1, n + 1):
-        f[m] = sum(comb(m - 1, k - 1) * t[k] * f[m - k] for k in range(1, m + 1))
+    f = [_forest_count(m) for m in range(n + 1)]
     return ForestCountTable(tuple(t), tuple(f))
 
 

@@ -6,6 +6,7 @@ construction, so they can be shared freely across threads/processes.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -192,26 +193,30 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
 MAX_VERTICES = 10**6  # largest n `parse_graph` accepts
 
 
-def _content_lines(text: str) -> list[str]:
-    return [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+_NON_SPACE = re.compile(r"\S")
+# the boundaries str.splitlines splits at, all of them whitespace
+_LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def parse_header(text: str) -> tuple[int, int]:
     """The counts (n, m) from the header line of edge-list text.
 
-    Builds no graph, so a caller can bound n before `parse_graph` allocates
-    one adjacency list per vertex.
+    Reads only up to the end of the first non-blank line and builds no
+    graph, so a caller can bound n before `parse_graph` allocates one
+    adjacency list per vertex.
     """
-    lines = _content_lines(text)
-    if not lines:
+    first = _NON_SPACE.search(text)
+    if first is None:
         raise GraphError("empty graph text")
-    header = lines[0].split()
+    brk = _LINE_BREAK.search(text, first.start())
+    line = text[first.start() : brk.start() if brk else len(text)].rstrip()
+    header = line.split()
     if len(header) != 2:
-        raise GraphError(f"malformed header {lines[0]!r}, expected 'n m'")
+        raise GraphError(f"malformed header {line!r}, expected 'n m'")
     try:
         return int(header[0]), int(header[1])
     except ValueError as exc:
-        raise GraphError(f"malformed header {lines[0]!r}") from exc
+        raise GraphError(f"malformed header {line!r}") from exc
 
 
 def parse_graph(text: str) -> Graph:
@@ -222,7 +227,7 @@ def parse_graph(text: str) -> Graph:
     n, m = parse_header(text)
     if n > MAX_VERTICES:
         raise GraphError(f"n={n} exceeds the vertex limit {MAX_VERTICES}")
-    lines = _content_lines(text)
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if m != len(lines) - 1:
         raise GraphError(f"header declares {m} edges, found {len(lines) - 1}")
     edges = []

@@ -120,6 +120,17 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
         yield prufer_decode(seq)
 
 
+def forest_counts_recurrence(n: int) -> tuple[list[int], list[int]]:
+    """Tree counts t_0..t_n and forest counts f_0..f_n from the recurrence
+    f_m = sum_k C(m-1,k-1) t_k f_(m-k) (peel off the component of the
+    smallest label); the oracle for the closed form in `forest_counts`."""
+    t = [0] + [k ** (k - 2) if k > 1 else 1 for k in range(1, n + 1)]
+    f = [1] + [0] * n
+    for m in range(1, n + 1):
+        f[m] = sum(math.comb(m - 1, k - 1) * t[k] * f[m - k] for k in range(1, m + 1))
+    return t, f
+
+
 def sum_c_series(c, m, tol):
     """Term-by-term sums behind C(c), over the math backend `m`.
 

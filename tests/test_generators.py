@@ -4,8 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import chi_square_ok, enumerate_trees
+from helpers import chi_square_ok, enumerate_trees, forest_counts_recurrence
 from mdim.generators import (
+    ForestCountTable,
     SeededRng,
     forest_counts,
     prufer_decode,
@@ -105,6 +106,24 @@ class TestForestCounts:
         tab = forest_counts(25)
         for m in (5, 12, 25):
             assert tab.component_cumweights(m)[-1] == tab.f[m]
+
+    def test_matches_recurrence(self):
+        tab = forest_counts(200)
+        t, f = forest_counts_recurrence(200)
+        assert tab.t == tuple(t) and tab.f == tuple(f)
+
+    def test_oeis_a001858(self):
+        assert forest_counts(10).f == (
+            1, 1, 2, 7, 38, 291, 2932, 36961, 561948, 10026505, 205608536,
+        )
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 12])
+    def test_cumweights_check_is_live(self, m):
+        tab = forest_counts(12)
+        f = list(tab.f)
+        f[m] += 1
+        with pytest.raises(AssertionError):
+            ForestCountTable(tab.t, tuple(f)).component_cumweights(m)
 
     def test_matches_forest_series(self, system30):
         tab = forest_counts(20)
