@@ -194,7 +194,12 @@ def _pair_from_index(idx: int, n: int, total: int) -> tuple[int, int]:
 
 
 def sample_gnp(n: int, p: float, rng: np.random.Generator) -> Graph:
-    """Erdos-Renyi G(n,p): each of the C(n,2) edges present independently."""
+    """Erdos-Renyi G(n,p): each of the C(n,2) edges present independently.
+
+    Draws the edge count m, then m distinct pair indices by rejection; for
+    m > C(n,2)/2 it draws the absent pairs instead and iterates over all
+    C(n,2) pair indices, so dense p at large n costs O(n^2) time.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if not 0.0 <= p <= 1.0:

@@ -193,9 +193,9 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
 MAX_VERTICES = 10**6  # largest n `parse_graph` accepts
 
 
-_NON_SPACE = re.compile(r"\S")
-# the boundaries str.splitlines splits at, all of them whitespace
-_LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+# from the first non-space character to the next boundary str.splitlines
+# splits at (every boundary is whitespace, so this is the first non-blank line)
+_FIRST_LINE = re.compile(r"\S[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
 def parse_header(text: str) -> tuple[int, int]:
@@ -205,11 +205,10 @@ def parse_header(text: str) -> tuple[int, int]:
     graph, so a caller can bound n before `parse_graph` allocates one
     adjacency list per vertex.
     """
-    first = _NON_SPACE.search(text)
-    if first is None:
+    found = _FIRST_LINE.search(text)
+    if found is None:
         raise GraphError("empty graph text")
-    brk = _LINE_BREAK.search(text, first.start())
-    line = text[first.start() : brk.start() if brk else len(text)].rstrip()
+    line = found.group().rstrip()
     header = line.split()
     if len(header) != 2:
         raise GraphError(f"malformed header {line!r}, expected 'n m'")
