@@ -6,7 +6,6 @@ construction, so they can be shared freely across threads/processes.
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -193,29 +192,26 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
 MAX_VERTICES = 10**6  # largest n `parse_graph` accepts
 
 
-# from the first non-space character to the next boundary str.splitlines
-# splits at (every boundary is whitespace, so this is the first non-blank line)
-_FIRST_LINE = re.compile(r"\S[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
+def _content_lines(text: str) -> list[str]:
+    return [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
 
 
 def parse_header(text: str) -> tuple[int, int]:
     """The counts (n, m) from the header line of edge-list text.
 
-    Reads only up to the end of the first non-blank line and builds no
-    graph, so a caller can bound n before `parse_graph` allocates one
-    adjacency list per vertex.
+    Builds no graph, so a caller can bound n before `parse_graph` allocates
+    one adjacency list per vertex.
     """
-    found = _FIRST_LINE.search(text)
-    if found is None:
+    lines = _content_lines(text)
+    if not lines:
         raise GraphError("empty graph text")
-    line = found.group().rstrip()
-    header = line.split()
+    header = lines[0].split()
     if len(header) != 2:
-        raise GraphError(f"malformed header {line!r}, expected 'n m'")
+        raise GraphError(f"malformed header {lines[0]!r}, expected 'n m'")
     try:
         return int(header[0]), int(header[1])
     except ValueError as exc:
-        raise GraphError(f"malformed header {line!r}") from exc
+        raise GraphError(f"malformed header {lines[0]!r}") from exc
 
 
 def parse_graph(text: str) -> Graph:
@@ -226,7 +222,7 @@ def parse_graph(text: str) -> Graph:
     n, m = parse_header(text)
     if n > MAX_VERTICES:
         raise GraphError(f"n={n} exceeds the vertex limit {MAX_VERTICES}")
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    lines = _content_lines(text)
     if m != len(lines) - 1:
         raise GraphError(f"header declares {m} edges, found {len(lines) - 1}")
     edges = []
