@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
-
 
 class ConvergenceError(RuntimeError):
     pass
@@ -42,7 +40,7 @@ def _relation_dr(r: float, y: float) -> float:
     return E * B + A * math.exp(1.0 - r) * (1.0 - r) - 1.0
 
 
-def solve_rho(y: float, tol: float = 1e-14, max_iter: int = 200) -> float:
+def solve_rho(y: float) -> float:
     """Positive root near 0.58 of the singularity relation, for y in [0.5, 1.5].
 
     Safeguarded Newton: steps leaving the bracket [0.1, 2.0] fall back to
@@ -56,9 +54,9 @@ def solve_rho(y: float, tol: float = 1e-14, max_iter: int = 200) -> float:
     if flo > 0 or fhi < 0:
         raise ConvergenceError(f"bracket {_BRACKET} does not straddle the root at y={y}")
     x = 0.58
-    for _ in range(max_iter):
+    for _ in range(200):
         fx = _relation(x, y)
-        if abs(fx) < tol:
+        if abs(fx) < 1e-14:
             return x
         if fx < 0:
             lo = x
@@ -69,7 +67,7 @@ def solve_rho(y: float, tol: float = 1e-14, max_iter: int = 200) -> float:
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
         x = nxt
-    raise ConvergenceError(f"no convergence after {max_iter} iterations at y={y}")
+    raise ConvergenceError(f"no convergence after 200 iterations at y={y}")
 
 
 def _partials(r: float, y: float) -> tuple[float, float, float, float, float]:
@@ -153,25 +151,24 @@ def _c_closed(c, m):
     return emc * bracket
 
 
-def C_closed(c: float, dps: int | None = None):
-    """Expectation constant C(c) for sparse G(n, c/n), 0 <= c < 1.
-
-    `dps` switches to mpmath with that many significant digits.
-    """
+def C_closed(c: float) -> float:
+    """Expectation constant C(c) for sparse G(n, c/n), 0 <= c < 1."""
     if not 0.0 <= c < 1.0:
         raise ValueError(f"c={c} outside [0, 1)")
-    if dps is None:
-        return _c_closed(c, math)
-    with mpmath.workdps(dps):
-        return _c_closed(mpmath.mpf(c), mpmath)
+    return _c_closed(c, math)
+
+
+_MAX_GRID = 10_000  # points in a `c_curve` table; the default grid has 100
 
 
 def c_curve(c_min: float, c_max: float, step: float) -> list[tuple[float, float]]:
     """Table of (c, C_closed(c)) on the grid c_min, c_min+step, ..., <= c_max."""
     if not (0.0 <= c_min < c_max < 1.0):
         raise ValueError("need 0 <= c_min < c_max < 1")
-    if step <= 0:
+    if not step > 0:
         raise ValueError("step must be positive")
+    if (c_max - c_min) / step >= _MAX_GRID:
+        raise ValueError(f"grid has more than {_MAX_GRID} points")
     out = []
     i = 0
     while True:

@@ -64,6 +64,8 @@ def cmd_sample_forest(args) -> int:
 def cmd_sample_gnp(args) -> int:
     from .generators import SeededRng, sample_gnp
 
+    if args.c is not None and args.n == 0:
+        raise ValueError("--c needs --n >= 1 (p = c/n)")
     p = args.p if args.p is not None else args.c / args.n
     rng = SeededRng(args.seed, args.stream).generator()
     _emit_graph(sample_gnp(args.n, p, rng))
@@ -126,8 +128,9 @@ def cmd_constants(args) -> int:
 def cmd_c_curve(args) -> int:
     from .asymptotics import c_curve
 
+    table = c_curve(args.min, args.max, args.step)
     print("c,C")
-    for c, C in c_curve(args.min, args.max, args.step):
+    for c, C in table:
         print(f"{c:.6g},{C!r}")
     return 0
 

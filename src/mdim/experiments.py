@@ -144,7 +144,7 @@ class ExperimentResult:
             out["skewness"] = stats.skewness
             out["excess_kurtosis"] = stats.excess_kurtosis
             out["ks_statistic"] = stats.ks_statistic
-        except (ValueError, DegenerateSampleError):
+        except ValueError:  # too few samples, or DegenerateSampleError
             pass
         for k, v in self.predicted.items():
             out[f"predicted_{k}"] = v
@@ -232,18 +232,18 @@ def render_json(result: ExperimentResult) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def emit(result: ExperimentResult, format: str | None = None, path: str | None = None) -> str:
-    """Render (and optionally write) the result; returns the rendered text."""
-    fmt = format or result.config.format
+def emit(result: ExperimentResult) -> str:
+    """Render the result in its configured format, writing it to the
+    configured output file if there is one; returns the rendered text."""
+    fmt = result.config.format
     if fmt == "csv":
         text = render_csv(result)
     elif fmt == "json":
         text = render_json(result)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    target = path or result.config.output
-    if target:
-        with open(target, "w") as fh:
+    if result.config.output:
+        with open(result.config.output, "w") as fh:
             fh.write(text)
     return text
 

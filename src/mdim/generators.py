@@ -206,11 +206,7 @@ def sample_gnp(n: int, p: float, rng: np.random.Generator) -> Graph:
         raise ValueError(f"p={p} outside [0, 1]")
     total = n * (n - 1) // 2
     m = int(rng.binomial(total, p)) if total > 0 else 0
-    if m == 0:
-        return Graph.from_edges(n, [])
-    if m == total:
-        chosen = range(total)
-    elif m <= total // 2:
+    if m <= total // 2:
         picked: set[int] = set()
         while len(picked) < m:
             batch = rng.integers(0, total, size=m - len(picked))

@@ -6,7 +6,6 @@ construction, so they can be shared freely across threads/processes.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -16,37 +15,9 @@ class GraphError(ValueError):
     """Malformed graph input (self-loop, duplicate edge, bad vertex id, ...)."""
 
 
-class _Unreachable:
-    """Distance between vertices in different components.
-
-    Compares equal only to (other instances of) itself, never to an int, and
-    is hashable so distance profiles can be used as dict/set keys.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "UNREACHABLE"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Unreachable)
-
-    def __ne__(self, other: object) -> bool:
-        return not isinstance(other, _Unreachable)
-
-    def __hash__(self) -> int:
-        return hash(_Unreachable)
-
-    def __reduce__(self):
-        # unpickling yields the module-level singleton
-        return (_get_unreachable, ())
-
-
-UNREACHABLE = _Unreachable()
-
-
-def _get_unreachable() -> _Unreachable:
-    return UNREACHABLE
+# Distance between vertices in different components: never equal to an int,
+# and hashable, so distance profiles can be dict/set keys.
+UNREACHABLE = None
 
 
 @dataclass(frozen=True)
@@ -96,14 +67,13 @@ def bfs_distances(g: Graph, source: int) -> list:
         raise GraphError(f"source {source} out of range for n={g.n}")
     dist: list = [UNREACHABLE] * g.n
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
+    visited = [source]  # doubles as the BFS queue: the loop reads what it appends
+    for u in visited:
+        du = dist[u] + 1
         for w in g.adj[u]:
             if dist[w] is UNREACHABLE:
-                dist[w] = du + 1
-                queue.append(w)
+                dist[w] = du
+                visited.append(w)
     return dist
 
 
@@ -152,14 +122,11 @@ def connected_components(g: Graph) -> ComponentPartition:
         cid = len(components)
         assignment[start] = cid
         comp = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
+        for u in comp:  # BFS with `comp` as its queue
             for w in g.adj[u]:
                 if assignment[w] < 0:
                     assignment[w] = cid
                     comp.append(w)
-                    queue.append(w)
         comp.sort()
         size = len(comp)
         edges = sum(len(g.adj[v]) for v in comp) // 2
@@ -196,13 +163,7 @@ def _content_lines(text: str) -> list[str]:
     return [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
 
 
-def parse_header(text: str) -> tuple[int, int]:
-    """The counts (n, m) from the header line of edge-list text.
-
-    Builds no graph, so a caller can bound n before `parse_graph` allocates
-    one adjacency list per vertex.
-    """
-    lines = _content_lines(text)
+def _header(lines: list[str]) -> tuple[int, int]:
     if not lines:
         raise GraphError("empty graph text")
     header = lines[0].split()
@@ -214,15 +175,24 @@ def parse_header(text: str) -> tuple[int, int]:
         raise GraphError(f"malformed header {lines[0]!r}") from exc
 
 
+def parse_header(text: str) -> tuple[int, int]:
+    """The counts (n, m) from the header line of edge-list text.
+
+    Builds no graph, so a caller can bound n before `parse_graph` allocates
+    one adjacency list per vertex.
+    """
+    return _header(_content_lines(text))
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: header line "n m", then m lines "u v".
 
     A header with n > MAX_VERTICES is rejected before anything is built.
     """
-    n, m = parse_header(text)
+    lines = _content_lines(text)
+    n, m = _header(lines)
     if n > MAX_VERTICES:
         raise GraphError(f"n={n} exceeds the vertex limit {MAX_VERTICES}")
-    lines = _content_lines(text)
     if m != len(lines) - 1:
         raise GraphError(f"header declares {m} edges, found {len(lines) - 1}")
     edges = []

@@ -9,8 +9,7 @@ deg_u - deg_v into the metric dimension mark.
 
 `series_system` is the one builder of the chain: mobiles P (implicitly
 defined), the split P = ux + U + V by whether the root touches a leaf,
-edge/vertex-rooted series for degree-2-free trees, their unrooting
-S = S_dot - S_arrow/2, the edge-subdivision substitution
+unrooted degree-2-free trees S, the edge-subdivision substitution
 T = (1-x) S(x/(1-x)), and finally forests G.
 """
 
@@ -333,8 +332,6 @@ class SeriesSystem:
     P: TruncatedSeries
     U: TruncatedSeries
     V: TruncatedSeries
-    S_arrow: TruncatedSeries
-    S_dot: TruncatedSeries
     S: TruncatedSeries
     T: TruncatedSeries
     G: TruncatedSeries
@@ -351,15 +348,12 @@ def series_system(order: int) -> SeriesSystem:
         P = (u-1)x + u(1-v)x^2 + (v + (1-v)exp(-ux)) x exp(P) - xP.
     Splitting off the single-vertex mobile, P = ux + U + V with A = P - ux:
     U roots touch a leaf, U = vx(exp(P) - exp(A) - ux), and V roots do not,
-    V = x(exp(A) - 1 - A).  Over degree-2-free trees, cutting a marked
-    oriented edge into an ordered pair of mobiles gives
-        S_arrow = ux^2 + 2uxU + 2uvxV + (U + V)^2,
-    and splitting a marked vertex on its degree (0, 1, or >= 3 with or
-    without a leaf child) gives
-        S_dot = ux + ux^2 + uxU + uvxV
-                + (1-v)x(exp(A) - 1 - A - A^2/2) + vx(exp(P) - 1 - P - P^2/2).
-    Vertices outnumber edges by one, so S = S_dot - S_arrow/2; then
-    `tree_series` gives T and `forest_series` gives G.
+    V = x(exp(A) - 1 - A).  Over degree-2-free trees, vertex-pointed minus
+    half of edge-pointed trees counts each tree once (vertices outnumber
+    edges by one); the two pointings' uxU and uvxV terms cancel, leaving
+        S = ux + ux^2/2 + (1-v)x(exp(A) - 1 - A - A^2/2)
+            + vx(exp(P) - 1 - P - P^2/2) - (U + V)^2/2;
+    then `tree_series` gives T and `forest_series` gives G.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"series order {order} outside 0..{MAX_ORDER}")
@@ -371,22 +365,16 @@ def series_system(order: int) -> SeriesSystem:
     E2 = A.exp()
     U = (E - E2 - ux).shift_x().poly_mul(_P_V)
     V = (E2 - one - A).shift_x()
-    uxU = U.shift_x().poly_mul(_P_U)
-    uvxV = V.shift_x().poly_mul(_P_U * _P_V)
     W = U + V
-    S_arrow = ux2 + uxU.scale(2) + uvxV.scale(2) + W * W
-    S_dot = (
+    S = (
         ux
-        + ux2
-        + uxU
-        + uvxV
         + (E2 - one - A - (A * A).half()).shift_x().poly_mul(_P_ONE - _P_V)
         + (E - one - P - (P * P).half()).shift_x().poly_mul(_P_V)
+        + (ux2 - W * W).half()
     )
-    S = S_dot - S_arrow.half()
     T = tree_series(S)
     G = forest_series(T)
-    return SeriesSystem(order, P, U, V, S_arrow, S_dot, S, T, G)
+    return SeriesSystem(order, P, U, V, S, T, G)
 
 
 _SYSTEM_CACHE: dict[int, SeriesSystem] = {}

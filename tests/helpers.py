@@ -1,8 +1,9 @@
 """Shared test utilities: chi-square goodness of fit, small graph builders, leg
 counts, and the reference oracles the library is checked against: tree
-enumeration, generic series composition, the term-by-term series for C(c),
-the mobile series' partial sums, a finite-difference stencil for rho, and a
-CSV reader for `mdim mc` output."""
+enumeration, generic series composition, the pointed series of the
+dissymmetry theorem, the term-by-term series for C(c), the mobile series'
+partial sums, a finite-difference stencil for rho, and a CSV reader for
+`mdim mc` output."""
 
 from __future__ import annotations
 
@@ -15,10 +16,10 @@ from typing import Iterator
 import mpmath
 from scipy.stats import chi2
 
-from mdim.asymptotics import solve_rho
+from mdim.asymptotics import _c_closed, solve_rho
 from mdim.generators import prufer_decode
 from mdim.graph import Graph
-from mdim.series import TruncatedSeries, UVPoly, cached_system
+from mdim.series import SeriesSystem, TruncatedSeries, UVPoly, cached_system, one_series, x_times
 
 
 def path_graph(n: int) -> Graph:
@@ -112,6 +113,39 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(N, [res[n].scale(factorial(n)) for n in range(N + 1)])
 
 
+def pointed_series(sys_: SeriesSystem) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """Edge-pointed and vertex-pointed degree-2-free trees, (S_arrow, S_dot),
+    from the chain's mobiles; the dissymmetry theorem gives S = S_dot - S_arrow/2.
+
+    Cutting a marked oriented edge into an ordered pair of mobiles gives
+        S_arrow = ux^2 + 2uxU + 2uvxV + (U + V)^2,
+    and splitting a marked vertex on its degree (0, 1, or >= 3 with or
+    without a leaf child) gives
+        S_dot = ux + ux^2 + uxU + uvxV
+                + (1-v)x(exp(A) - 1 - A - A^2/2) + vx(exp(P) - 1 - P - P^2/2),
+    with A = P - ux.
+    """
+    P, U, V = sys_.P, sys_.U, sys_.V
+    N = sys_.order
+    u, v = UVPoly({(1, 0): 1}), UVPoly({(0, 1): 1})
+    one = one_series(N)
+    ux, ux2 = x_times(N, u), x_times(N, u, power=2)
+    A = P - ux
+    uxU = U.shift_x().poly_mul(u)
+    uvxV = V.shift_x().poly_mul(u * v)
+    W = U + V
+    S_arrow = ux2 + uxU.scale(2) + uvxV.scale(2) + W * W
+    S_dot = (
+        ux
+        + ux2
+        + uxU
+        + uvxV
+        + (A.exp() - one - A - (A * A).half()).shift_x().poly_mul(UVPoly({(0, 0): 1}) - v)
+        + (P.exp() - one - P - (P * P).half()).shift_x().poly_mul(v)
+    )
+    return S_arrow, S_dot
+
+
 def enumerate_trees(n: int) -> Iterator[Graph]:
     """All n^(n-2) labelled trees on n vertices, 2 <= n <= 8."""
     if not 2 <= n <= 8:
@@ -171,6 +205,13 @@ def C_series(c: float, tol: float = 1e-15, dps: int | None = None):
         return sum_c_series(c, math, tol)[0]
     with mpmath.workdps(dps):
         return sum_c_series(mpmath.mpf(c), mpmath, mpmath.mpf(tol))[0]
+
+
+def C_closed_mp(c: float, dps: int):
+    """`mdim.asymptotics.C_closed` at `dps` significant digits: the library's
+    own closed form evaluated over mpmath."""
+    with mpmath.workdps(dps):
+        return _c_closed(mpmath.mpf(c), mpmath)
 
 
 def tau_partial_sums(order: int) -> list[float]:

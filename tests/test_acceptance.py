@@ -49,9 +49,7 @@ def test_criterion_1_constants():
 
 
 def test_criterion_2_gnp_constant():
-    import mpmath
-
-    from helpers import C_series
+    from helpers import C_closed_mp, C_series
     from mdim.asymptotics import C_closed
 
     t0 = time.perf_counter()
@@ -61,7 +59,7 @@ def test_criterion_2_gnp_constant():
     worst = 0.0
     for i in range(1, 100):
         c = i / 100
-        d = abs(C_closed(c, dps=50) - C_series(c, tol=1e-40, dps=50))
+        d = abs(C_closed_mp(c, 50) - C_series(c, tol=1e-40, dps=50))
         worst = max(worst, float(d))
     elapsed = time.perf_counter() - t0
     ok = ok_limit and ok_zero and worst < 1e-10 and elapsed < 5.0

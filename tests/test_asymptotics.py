@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from helpers import C_series, rho_stencil, sum_c_series, tau_partial_sums
+from helpers import C_closed_mp, C_series, rho_stencil, sum_c_series, tau_partial_sums
 from mdim.asymptotics import (
     C_closed,
     c_curve,
@@ -134,7 +134,7 @@ class TestCSeries:
     def test_extended_precision(self):
         import mpmath
 
-        d = abs(C_closed(0.5, dps=50) - C_series(0.5, tol=1e-40, dps=50))
+        d = abs(C_closed_mp(0.5, 50) - C_series(0.5, tol=1e-40, dps=50))
         assert d < mpmath.mpf("1e-38")
 
 
@@ -160,3 +160,10 @@ class TestCCurve:
             c_curve(0.5, 0.4, 0.01)
         with pytest.raises(ValueError):
             c_curve(0.0, 1.0, 0.01)
+        with pytest.raises(ValueError):
+            c_curve(0.0, 0.5, float("nan"))
+
+    def test_grid_size_cap(self):
+        assert len(c_curve(0.0, 0.9999, 1e-4)) == 10_000
+        with pytest.raises(ValueError, match="more than 10000 points"):
+            c_curve(0.0, 0.99, 1e-5)

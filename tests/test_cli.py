@@ -96,6 +96,14 @@ class TestSamplers:
         g = parse_graph(out)
         assert g.n == 100
 
+    def test_sample_gnp_c_needs_vertices(self, capsys):
+        # p = c/n has no value at n = 0
+        assert main(["sample-gnp", "--n", "0", "--c", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mdim: error: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestSeriesCommands:
     def test_series_rationals(self, capsys):
@@ -171,6 +179,26 @@ class TestConstantsCommands:
         c0, C0 = lines[1].split(",")
         assert float(c0) == 0.0 and float(C0) == 1.0
 
+    def test_c_curve_grid_cap(self, capsys, monkeypatch):
+        # the grid size is checked before any point is computed
+        import mdim.asymptotics
+
+        def no_point(c):
+            raise AssertionError("c-curve point computed past the grid cap")
+
+        monkeypatch.setattr(mdim.asymptotics, "C_closed", no_point)
+        assert main(["c-curve", "--step", "1e-300"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "mdim: error: grid has more than 10000 points\n"
+
+    @pytest.mark.parametrize("argv", [["--step", "0"], ["--min", "0.5", "--max", "0.2"]])
+    def test_c_curve_error_prints_no_header(self, capsys, argv):
+        assert main(["c-curve", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mdim: error: ")
+
 
 class TestMonteCarlo:
     def test_mc_writes_csv(self, tmp_path, capsys):
@@ -204,3 +232,41 @@ class TestMonteCarlo:
             "--seed", "7", "--assert",
         )
         assert code == 1
+
+
+class TestDependencies:
+    def test_cli_import_leaves_out_mpmath(self):
+        # mpmath serves only the tests' extended-precision checks
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, mdim.cli, mdim.experiments; print('mpmath' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "False\n"
+
+    def test_third_party_imports_are_declared(self):
+        import ast
+        import re
+        import sys
+        import tomllib
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            deps = tomllib.load(fh)["project"]["dependencies"]
+        declared = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower() for d in deps}
+        imported = set()
+        for path in (root / "src" / "mdim").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported.update(a.name.split(".")[0] for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+        third_party = imported - set(sys.stdlib_module_names) - {"mdim"}
+        assert third_party and third_party <= declared, third_party - declared

@@ -1,6 +1,7 @@
 import math
 import os
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,10 +152,10 @@ class TestDeterminism:
 
 class TestEmit:
     def test_csv_round_trip(self, tmp_path):
-        res = run_experiment(small_cfg())
         path = tmp_path / "out.csv"
-        emit(res, "csv", str(path))
-        text = path.read_text()
+        res = run_experiment(small_cfg(output=str(path)))
+        text = emit(res)
+        assert path.read_text() == text
         betas = parse_csv_betas(text)
         assert betas == res.betas
         clone = ExperimentResult(res.config, betas, res.predicted)
@@ -177,8 +178,9 @@ class TestEmit:
         assert lines[1] == "0," + str(run_experiment(small_cfg()).betas[0])
 
     def test_unknown_format(self):
+        res = run_experiment(small_cfg())
         with pytest.raises(ValueError):
-            emit(run_experiment(small_cfg()), "xml")
+            emit(ExperimentResult(replace(res.config, format="xml"), res.betas, res.predicted))
 
 
 class TestVarianceScaling:

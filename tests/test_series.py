@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import compose, enumerate_trees
+from helpers import compose, enumerate_trees, pointed_series
 from mdim.metric_dimension import brute_force_beta, forest_beta, slater_tree_beta
 from mdim.series import (
     TruncatedSeries,
@@ -103,19 +103,31 @@ class TestMobileSplit:
         assert valuation(sys12.V) == 7
 
 
+@pytest.fixture(scope="module")
+def pointed12(sys12):
+    return pointed_series(sys12)
+
+
 class TestRootedSpecial:
-    def test_pointed_isolated_vertex_term(self, sys12):
-        assert sys12.S_dot.count_poly(1) == U
+    def test_pointed_isolated_vertex_term(self, pointed12):
+        assert pointed12[1].count_poly(1) == U
 
-    def test_pointing_relation(self, sys12):
+    def test_pointing_relation(self, sys12, pointed12):
         # x d/dx S = S_dot, i.e. counts satisfy n * S_n = (S_dot)_n
+        S_dot = pointed12[1]
         for n in range(sys12.order + 1):
-            assert sys12.S.count_poly(n).scale(n) == sys12.S_dot.count_poly(n), n
+            assert sys12.S.count_poly(n).scale(n) == S_dot.count_poly(n), n
 
-    def test_non_negative_counts(self, sys12):
-        for series in (sys12.S_arrow, sys12.S_dot):
+    def test_non_negative_counts(self, pointed12):
+        for series in pointed12:
             for n in range(series.order + 1):
                 assert all(c > 0 for c in series.count_poly(n).terms.values())
+
+    def test_dissymmetry_builds_S(self):
+        # the direct S of `series_system` against S_dot - S_arrow/2
+        sys_ = series_system(45)
+        S_arrow, S_dot = pointed_series(sys_)
+        assert S_dot - S_arrow.half() == sys_.S
 
 
 # taylor displays frozen as exact rationals, keyed by (deg_u, deg_v)
