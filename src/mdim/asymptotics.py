@@ -33,13 +33,6 @@ def _relation(r: float, y: float) -> float:
     return (1.0 + (math.exp(y * r) - 1.0) / y) * r * math.exp(1.0 - r) - 1.0 - r
 
 
-def _relation_dr(r: float, y: float) -> float:
-    E = math.exp(y * r)
-    A = 1.0 + (E - 1.0) / y
-    B = r * math.exp(1.0 - r)
-    return E * B + A * math.exp(1.0 - r) * (1.0 - r) - 1.0
-
-
 def solve_rho(y: float) -> float:
     """Positive root near 0.58 of the singularity relation, for y in [0.5, 1.5].
 
@@ -62,7 +55,7 @@ def solve_rho(y: float) -> float:
             lo = x
         else:
             hi = x
-        dfx = _relation_dr(x, y)
+        dfx = _partials(x, y)[0]
         nxt = x - fx / dfx if dfx != 0.0 else lo
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)

@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ValueError("n must be >= 1")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be >= 0")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.format!r}")
         has_c = self.c is not None
@@ -66,6 +68,8 @@ class ExperimentConfig:
         if self.model == "gnp":
             if has_c == has_exp:
                 raise ValueError("model gnp requires exactly one of c or p_exponent")
+            if has_c and not 0.0 <= self.c < 1.0:  # C_closed's domain, NaN included
+                raise ValueError(f"c={self.c} outside [0, 1)")
         elif has_c or has_exp:
             raise ValueError(f"model {self.model} takes neither c nor p_exponent")
 

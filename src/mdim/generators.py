@@ -134,16 +134,19 @@ def _forest_count(m: int) -> int:
     return f
 
 
+MAX_FOREST_VERTICES = 2000  # forest_counts(2000) takes about 4 s; cost grows like n^2.9
+
+
 @lru_cache(maxsize=8)
 def forest_counts(n: int) -> ForestCountTable:
     """Big-integer tables t_k = k^(k-2) and the forest counts f_0..f_n.
 
     Each f_m comes from Takacs' closed form; `component_cumweights` checks
     it against the recurrence f_m = sum_k C(m-1,k-1) t_k f_(m-k) at every m
-    the sampler visits.
+    the sampler visits.  n above MAX_FOREST_VERTICES is rejected up front.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not 0 <= n <= MAX_FOREST_VERTICES:
+        raise ValueError(f"n={n} outside 0..{MAX_FOREST_VERTICES} for uniform forests")
     t = [0] * (n + 1)
     for k in range(1, n + 1):
         t[k] = 1 if k == 1 else k ** (k - 2)

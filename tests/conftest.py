@@ -16,3 +16,10 @@ def system30():
     from mdim.series import cached_system
 
     return cached_system(30)
+
+
+@pytest.fixture(scope="session")
+def system45():
+    from mdim.series import cached_system
+
+    return cached_system(45)

@@ -88,6 +88,19 @@ class TestSamplers:
         n, m = map(int, out.splitlines()[0].split())
         assert n == 15 and m <= 14
 
+    @pytest.mark.parametrize("argv", [["sample-forest"], ["mc", "--model", "uniform-forest"]])
+    def test_forest_limit_checked_before_counting(self, capsys, monkeypatch, argv):
+        from mdim import generators
+
+        def no_count(m):
+            raise AssertionError("forest counts built past the limit")
+
+        monkeypatch.setattr(generators, "_forest_count", no_count)
+        n = generators.MAX_FOREST_VERTICES + 1
+        assert main([*argv, "--n", str(n)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"mdim: error: n={n} outside 0..{n - 1} for uniform forests\n"
+
     def test_sample_gnp(self, capsys):
         code, out = run_cli(capsys, "sample-gnp", "--n", "100", "--c", "0.5", "--seed", "4")
         assert code == 0

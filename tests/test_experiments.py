@@ -39,6 +39,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig("uniform-tree", 100, 10, 1, c=0.5).validate()
 
+    @pytest.mark.parametrize("c", [1.0, 1.5, -0.1, float("nan")])
+    def test_c_outside_closed_form_domain(self, c, monkeypatch):
+        # rejected before any replicate is sampled, with C_closed's message
+        import mdim.experiments
+
+        def no_sample(*args):
+            raise AssertionError("replicate sampled with an invalid c")
+
+        monkeypatch.setattr(mdim.experiments, "sample_gnp", no_sample)
+        with pytest.raises(ValueError, match=rf"^c={c} outside \[0, 1\)$"):
+            run_experiment(ExperimentConfig("gnp", 20000, 100, 7, c=c))
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig("uniform-tree", 10, 1, -1).validate()
+
     def test_replicates_positive(self):
         with pytest.raises(ValueError):
             ExperimentConfig("uniform-tree", 100, 0, 1).validate()

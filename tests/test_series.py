@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -94,6 +95,13 @@ class TestMobileSplit:
     def test_partition_identity(self, sys12):
         assert x_times(sys12.order, U) + sys12.U + sys12.V == sys12.P
 
+    def test_exp_A_from_exp_P(self):
+        # exp(A) = exp(P) exp(-ux), against the series exponential of A = P - ux
+        from mdim.series import _exp_ux, _solve_P
+
+        P, E = _solve_P(30)
+        assert E * _exp_ux(30, -1) == (P - x_times(30, U)).exp()
+
     def test_U_valuation(self, sys12):
         assert valuation(sys12.U) == 3
 
@@ -123,11 +131,38 @@ class TestRootedSpecial:
             for n in range(series.order + 1):
                 assert all(c > 0 for c in series.count_poly(n).terms.values())
 
-    def test_dissymmetry_builds_S(self):
+    def test_dissymmetry_builds_S(self, system45):
         # the direct S of `series_system` against S_dot - S_arrow/2
-        sys_ = series_system(45)
-        S_arrow, S_dot = pointed_series(sys_)
-        assert S_dot - S_arrow.half() == sys_.S
+        S_arrow, S_dot = pointed_series(system45)
+        assert S_dot - S_arrow.half() == system45.S
+
+
+# sha256 of `mdim` stdout at order 45: any change to an exact rational shows
+ORDER_45_SHA256 = {
+    ("series", "--order", "45", "--which", "T"):
+        "d23ac8166c8576aa51c64011f484468e5bcb01b8b5621654651a219e6eed5549",
+    ("series", "--order", "45", "--which", "G"):
+        "e53f381728c264b87fcbecc570af4664fa69a532a22f18844b9611426f1837bb",
+    ("dist", "--model", "tree", "--n", "45"):
+        "ab9cd52442bf89b3a619a6935cd18b122a41f4e94f1c400045b7c63b32503463",
+    ("dist", "--model", "forest", "--n", "45"):
+        "cd99fd84721db59aca3f72828af6b90e4d10ed12167b9016b7f38836b38b479b",
+}
+
+
+@pytest.mark.parametrize("argv", list(ORDER_45_SHA256), ids=" ".join)
+def test_order_45_output_pinned(argv, system45, monkeypatch, capsys):
+    import mdim.series
+    from mdim.cli import main
+
+    def build(order):  # `series` builds afresh; render the session's order-45 system instead
+        assert order == 45
+        return system45
+
+    monkeypatch.setattr(mdim.series, "series_system", build)
+    assert main(list(argv)) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == ORDER_45_SHA256[argv]
 
 
 # taylor displays frozen as exact rationals, keyed by (deg_u, deg_v)
