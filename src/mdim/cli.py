@@ -79,7 +79,7 @@ def _frac(x: Fraction) -> str:
 def cmd_series(args) -> int:
     from .series import series_system
 
-    sys_ = series_system(args.order)
+    sys_ = series_system(args.order, at_y=args.at_y)
     series = getattr(sys_, args.which)
     doc = {"which": args.which, "order": args.order, "coefficients": {}}
     for n in range(args.order + 1):
@@ -102,7 +102,7 @@ def cmd_dist(args) -> int:
     from .series import beta_distribution, cached_system
 
     order = max(args.n, 1)
-    sys_ = cached_system(order)
+    sys_ = cached_system(order, at_y=True)
     series = sys_.T if args.model == "tree" else sys_.G
     dist = beta_distribution(series, args.n)
     doc = {

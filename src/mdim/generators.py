@@ -24,6 +24,11 @@ class SeededRng:
     seed: int
     stream: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("seed", "stream"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}={getattr(self, name)} must be >= 0")
+
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.PCG64(seq))

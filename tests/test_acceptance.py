@@ -251,3 +251,48 @@ def test_criterion_9_substitutions_documented():
         "rate-of-convergence and symbolic singular expansions substituted by "
         "criteria 1-8",
     )
+
+
+def _value_at_zero(hs: list[F], ds: list[F]) -> F:
+    """The Lagrange interpolant through the points (h_i, d_i), at h = 0."""
+    total = F(0)
+    for i, (hi, di) in enumerate(zip(hs, ds)):
+        w = F(1)
+        for j, hj in enumerate(hs):
+            if j != i:
+                w *= hj / (hj - hi)
+        total += di * w
+    return total
+
+
+def test_criterion_10_exact_moments_give_constants():
+    # E[beta_n] ~ mu n and Var[beta_n] ~ sigma^2 n from the exact pmfs: the
+    # first differences at n = N-5..N, extrapolated in h = 1/n to h = 0.
+    from mdim.asymptotics import tree_constants
+    from mdim.series import beta_distribution, series_system
+
+    N, K = 60, 6
+    t0 = time.perf_counter()
+    sys_ = series_system(N, at_y=True)
+    hs = [F(1, n) for n in range(N - K + 1, N + 1)]
+
+    def limit(series, moment):
+        vals = [moment(beta_distribution(series, n)) for n in range(N - K, N + 1)]
+        return float(_value_at_zero(hs, [b - a for a, b in zip(vals, vals[1:])]))
+
+    c = tree_constants()
+    errs = {
+        "tree mu": abs(limit(sys_.T, lambda d: d.mean()) - c.mu),
+        "tree sigma2": abs(limit(sys_.T, lambda d: d.variance()) - c.sigma2),
+        "forest mu": abs(limit(sys_.G, lambda d: d.mean()) - c.mu),
+    }
+    forest_sigma2 = abs(limit(sys_.G, lambda d: d.variance()) - c.sigma2)
+    elapsed = time.perf_counter() - t0
+    ok = all(e < 1e-5 for e in errs.values())
+    _report(
+        "10 exact moments",
+        ok,
+        ", ".join(f"{k} error {e:.1e}" for k, e in errs.items())
+        + f" < 1e-5 (forest sigma2 error {forest_sigma2:.1e}, not gated), n <= {N}, "
+        f"runtime {elapsed:.2f}s",
+    )

@@ -82,6 +82,18 @@ class TestSamplers:
         _, b = run_cli(capsys, "sample-tree", "--n", "30", "--seed", "9")
         assert a == b
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sample-tree", "--n", "5", "--seed", "-1"], "seed=-1 must be >= 0"),
+            (["sample-forest", "--n", "5", "--stream", "-3"], "stream=-3 must be >= 0"),
+            (["sample-gnp", "--n", "5", "--c", "0.5", "--stream", "-2"], "stream=-2 must be >= 0"),
+        ],
+    )
+    def test_negative_seed_or_stream_named(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"mdim: error: {message}\n"
+
     def test_sample_forest(self, capsys):
         code, out = run_cli(capsys, "sample-forest", "--n", "15", "--seed", "1")
         assert code == 0

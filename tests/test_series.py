@@ -99,7 +99,7 @@ class TestMobileSplit:
         # exp(A) = exp(P) exp(-ux), against the series exponential of A = P - ux
         from mdim.series import _exp_ux, _solve_P
 
-        P, E = _solve_P(30)
+        P, E = _solve_P(30, V)
         assert E * _exp_ux(30, -1) == (P - x_times(30, U)).exp()
 
     def test_U_valuation(self, sys12):
@@ -137,6 +137,15 @@ class TestRootedSpecial:
         assert S_dot - S_arrow.half() == system45.S
 
 
+def test_at_y_system_matches_bivariate(system45):
+    # the y-collapsed chain against the bivariate oracle it replaces in `dist`
+    at_y = series_system(45, at_y=True)
+    for name in "PUVSTG":
+        fast, slow = getattr(at_y, name), getattr(system45, name)
+        for n in range(46):
+            assert fast.count_poly(n).y_powers() == slow.count_poly(n).y_powers(), (name, n)
+
+
 # sha256 of `mdim` stdout at order 45: any change to an exact rational shows
 ORDER_45_SHA256 = {
     ("series", "--order", "45", "--which", "T"):
@@ -155,9 +164,11 @@ def test_order_45_output_pinned(argv, system45, monkeypatch, capsys):
     import mdim.series
     from mdim.cli import main
 
-    def build(order):  # `series` builds afresh; render the session's order-45 system instead
+    real = mdim.series.series_system
+
+    def build(order, at_y=False):  # bivariate `series` builds afresh; reuse the session's system
         assert order == 45
-        return system45
+        return real(order, at_y=True) if at_y else system45
 
     monkeypatch.setattr(mdim.series, "series_system", build)
     assert main(list(argv)) == 0
