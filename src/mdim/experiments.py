@@ -25,6 +25,7 @@ from .generators import (
     sample_uniform_forest,
     sample_uniform_tree,
 )
+from .graph import check_vertex_limit
 from .metric_dimension import (
     ComponentTooLargeError,
     forest_beta,
@@ -57,6 +58,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        check_vertex_limit(self.n)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.seed < 0:

@@ -14,7 +14,7 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, check_vertex_limit
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,7 @@ def sample_uniform_tree(n: int, rng: np.random.Generator) -> Graph:
     """Uniform labelled tree on n vertices (single vertex for n=1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_vertex_limit(n)
     if n == 1:
         return Graph.from_edges(1, [])
     seq = rng.integers(0, n, size=n - 2)
@@ -210,6 +211,7 @@ def sample_gnp(n: int, p: float, rng: np.random.Generator) -> Graph:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    check_vertex_limit(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
     total = n * (n - 1) // 2

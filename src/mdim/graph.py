@@ -156,7 +156,13 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
     return Graph.from_edges(len(verts), edges), verts
 
 
-MAX_VERTICES = 10**6  # largest n `parse_graph` accepts
+MAX_VERTICES = 10**6  # largest n that `parse_graph` and the samplers accept
+
+
+def check_vertex_limit(n: int) -> None:
+    """Reject n > MAX_VERTICES, before the caller allocates per vertex."""
+    if n > MAX_VERTICES:
+        raise GraphError(f"n={n} exceeds the vertex limit {MAX_VERTICES}")
 
 
 def _content_lines(text: str) -> list[str]:
@@ -191,8 +197,7 @@ def parse_graph(text: str) -> Graph:
     """
     lines = _content_lines(text)
     n, m = _header(lines)
-    if n > MAX_VERTICES:
-        raise GraphError(f"n={n} exceeds the vertex limit {MAX_VERTICES}")
+    check_vertex_limit(n)
     if m != len(lines) - 1:
         raise GraphError(f"header declares {m} edges, found {len(lines) - 1}")
     edges = []

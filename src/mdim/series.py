@@ -10,15 +10,19 @@ deg_u - deg_v into the metric dimension mark.
 `series_system` is the one builder of the chain: mobiles P (implicitly
 defined), the split P = ux + U + V by whether the root touches a leaf,
 unrooted degree-2-free trees S, the edge-subdivision substitution
-T = (1-x) S(x/(1-x)), and finally forests G.  `mdim dist` and
-`mdim series --at-y` read only the mark y = u/v, so they build the same chain
-with v := 1/u (`at_y=True`): each count collapses to a Laurent polynomial in
-u alone, keyed (deg_u - deg_v, 0), and builds 5-8x faster at orders 45 to 50.
+T = (1-x) S(x/(1-x)), and finally forests G.  G is built only when read:
+its exponential runs over every term of T and, at order 45, takes 1.4 s
+against 0.4 s for the bivariate tree chain, so every read but G skips it.
+`mdim dist` and `mdim series --at-y` read only the mark y = u/v, so they
+build the same chain with v := 1/u (`at_y=True`): each count collapses to a
+Laurent polynomial in u alone, keyed (deg_u - deg_v, 0), and the tree chain
+builds in 0.3 s at order 50 against 0.65 s bivariate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb, factorial
 
@@ -320,25 +324,50 @@ def beta_distribution(series: TruncatedSeries, n: int) -> BetaDistribution:
 
 @dataclass(frozen=True)
 class SeriesSystem:
-    """All series of the chain solved at one truncation order."""
+    """The chain at one truncation order, each series built at most once.
+
+    The tree chain P -> S -> T is solved on construction.  U, V and G are
+    leaves that nothing else in the chain reads, so each is built on its
+    first read.  G's forest exponential runs over every term of T, and
+    `series --which T` and `dist --model tree` never pay for it.
+    """
 
     order: int
+    v: UVPoly  # the non-leaf mark: v, or 1/u in the y-collapsed chain
     P: TruncatedSeries
-    U: TruncatedSeries
-    V: TruncatedSeries
+    E: TruncatedSeries  # exp(P), a by-product of solving for P
     S: TruncatedSeries
     T: TruncatedSeries
-    G: TruncatedSeries
+
+    @cached_property
+    def _exp_A(self) -> TruncatedSeries:
+        return self.E * _exp_ux(self.order, -1)
+
+    @cached_property
+    def U(self) -> TruncatedSeries:
+        ux = x_times(self.order, _P_U)
+        return (self.E - self._exp_A - ux).shift_x().poly_mul(self.v)
+
+    @cached_property
+    def V(self) -> TruncatedSeries:
+        A = self.P - x_times(self.order, _P_U)
+        return (self._exp_A - one_series(self.order) - A).shift_x()
+
+    @cached_property
+    def G(self) -> TruncatedSeries:
+        return forest_series(self.T, self.v)
 
 
-# Bivariate build time grows about like order^6.5 (1.75 s at order 45, 3.5 s
-# at 50), which bivariate `series` still needs capped; the y-collapsed chain
-# of `dist` and `series --at-y` takes 0.4-0.5 s at order 50 and 6.5-9 s at 100.
+# Bivariate `series` needs the cap: its tree chain takes 0.4 s at order 45 and
+# 0.65 s at 50, and `--which G` adds 1.4 s and 2.5 s for the forest
+# exponential, growing about like order^6.5.  The y-collapsed chain of `dist`
+# and `series --at-y` takes 0.3 + 0.2 s (G) at order 50 and 5-5.5 + 2.6-3.1 s
+# at 100.
 MAX_ORDER = 100
 
 
 def series_system(order: int, at_y: bool = False) -> SeriesSystem:
-    """Solve the whole chain at one truncation order.
+    """Solve the tree chain P -> S -> T at one truncation order.
 
     With `at_y` the same chain runs with v := 1/u, the ring map
     (u, v) -> (y, 1/y): every count keeps only keys (k, 0), k = deg_u - deg_v,
@@ -356,7 +385,8 @@ def series_system(order: int, at_y: bool = False) -> SeriesSystem:
     Substituting V, U + vV = vx(exp(P) - 1 - P) and
     P^2 = A^2 + 2uxA + u^2x^2 into that difference leaves
         S = ux + ux^2/2 - u^2vx^3/2 + (1 - uvx^2) A - (1 + x) A^2/2;
-    then `tree_series` gives T and `forest_series` gives G.
+    then `tree_series` gives T.  U, V and G (`forest_series`) are built
+    when first read from the returned `SeriesSystem`.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"series order {order} outside 0..{MAX_ORDER}")
@@ -365,9 +395,6 @@ def series_system(order: int, at_y: bool = False) -> SeriesSystem:
     P, E = _solve_P(order, v)
     ux = x_times(order, _P_U)
     A = P - ux
-    E2 = E * _exp_ux(order, -1)
-    U = (E - E2 - ux).shift_x().poly_mul(v)
-    V = (E2 - one_series(order) - A).shift_x()
     A2 = A * A
     S = (
         ux
@@ -376,9 +403,7 @@ def series_system(order: int, at_y: bool = False) -> SeriesSystem:
         + (x_times(order, _P_U, 2) - x_times(order, _P_U * uv, 3)).half()
         - (A2 + A2.shift_x()).half()
     )
-    T = tree_series(S)
-    G = forest_series(T, v)
-    return SeriesSystem(order, P, U, V, S, T, G)
+    return SeriesSystem(order, v, P, E, S, tree_series(S))
 
 
 _SYSTEM_CACHE: dict[tuple[int, bool], SeriesSystem] = {}

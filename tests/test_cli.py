@@ -113,6 +113,33 @@ class TestSamplers:
         err = capsys.readouterr().err
         assert err == f"mdim: error: n={n} outside 0..{n - 1} for uniform forests\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample-tree"],
+            ["sample-gnp", "--c", "0.5"],
+            ["mc", "--model", "uniform-tree", "--replicates", "1"],
+            ["mc", "--model", "gnp", "--c", "0.5", "--replicates", "1"],
+        ],
+    )
+    def test_vertex_limit_checked_before_sampling(self, capsys, monkeypatch, argv):
+        from mdim import experiments, generators
+        from mdim.graph import MAX_VERTICES
+
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"rng.{name} called past the vertex limit")
+
+        def no_sample(*args):
+            raise AssertionError("sampler called past the vertex limit")
+
+        monkeypatch.setattr(generators.SeededRng, "generator", lambda self: NoDraws())
+        monkeypatch.setattr(experiments, "sample_uniform_tree", no_sample)
+        monkeypatch.setattr(experiments, "sample_gnp", no_sample)
+        n = MAX_VERTICES + 1
+        assert main([*argv, "--n", str(n)]) == 2
+        assert capsys.readouterr().err == f"mdim: error: n={n} exceeds the vertex limit {n - 1}\n"
+
     def test_sample_gnp(self, capsys):
         code, out = run_cli(capsys, "sample-gnp", "--n", "100", "--c", "0.5", "--seed", "4")
         assert code == 0
@@ -158,6 +185,44 @@ class TestSeriesCommands:
         code, out = run_cli(capsys, "dist", "--model", "forest", "--n", "1")
         assert code == 0
         assert json.loads(out)["pmf"] == {"1": "1"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["series", "--order", "12", "--which", which, *at_y]
+            for which in "PST"
+            for at_y in ([], ["--at-y"])
+        ]
+        + [["dist", "--model", "tree", "--n", "12"]],
+        ids=" ".join,
+    )
+    def test_tree_reads_skip_forest_series(self, capsys, monkeypatch, argv):
+        import mdim.series
+
+        def no_forest(T, v):
+            raise AssertionError("forest series built for a read that needs only the tree chain")
+
+        monkeypatch.setattr(mdim.series, "forest_series", no_forest)
+        monkeypatch.setattr(mdim.series, "_SYSTEM_CACHE", {})
+        assert main(argv) == 0
+
+    def test_dist_builds_forest_series_once(self, capsys, monkeypatch):
+        # the benchmark's exact op2: `dist` tree, then forest, in one process
+        import mdim.series
+
+        real, calls = mdim.series.forest_series, []
+
+        def counted(T, v):
+            calls.append(T.order)
+            return real(T, v)
+
+        monkeypatch.setattr(mdim.series, "forest_series", counted)
+        monkeypatch.setattr(mdim.series, "_SYSTEM_CACHE", {})
+        assert main(["dist", "--model", "tree", "--n", "12"]) == 0
+        assert calls == []
+        for _ in range(2):
+            assert main(["dist", "--model", "forest", "--n", "12"]) == 0
+        assert calls == [12]
 
     @pytest.mark.parametrize(
         "argv",
