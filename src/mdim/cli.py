@@ -99,10 +99,11 @@ def cmd_series(args) -> int:
 
 
 def cmd_dist(args) -> int:
-    from .series import beta_distribution, cached_system
+    from .series import beta_distribution, series_system
 
-    order = max(args.n, 1)
-    sys_ = cached_system(order, at_y=True)
+    if args.n < 1:
+        raise ValueError(f"n={args.n} must be >= 1")
+    sys_ = series_system(args.n, at_y=True)
     series = sys_.T if args.model == "tree" else sys_.G
     dist = beta_distribution(series, args.n)
     doc = {

@@ -29,6 +29,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        check_vertex_limit(n)
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
         neighbours: list[list[int]] = [[] for _ in range(n)]
@@ -156,7 +157,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
     return Graph.from_edges(len(verts), edges), verts
 
 
-MAX_VERTICES = 10**6  # largest n that `parse_graph` and the samplers accept
+MAX_VERTICES = 10**6  # largest n that `Graph.from_edges` accepts
 
 
 def check_vertex_limit(n: int) -> None:

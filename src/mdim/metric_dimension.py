@@ -138,34 +138,17 @@ def brute_force_beta(g: Graph, size_cap: int = 12) -> ResolvingWitness:
     """Minimum resolving set by exhaustive search (independent oracle).
 
     Subsets are enumerated by increasing size and lexicographically within a
-    size, so the result is the lexicographically least minimum witness.
-    Candidates leaving some component of size >= 2 without a landmark are
-    skipped: two vertices of such a component would share an all-unreachable
-    profile, so no resolving set is lost.
+    size, so the result is the lexicographically least minimum witness.  The
+    search reads only the BFS distance table, not the component partition
+    that the solver it checks relies on.
     """
     if g.n > size_cap:
         raise SizeCapError(f"n={g.n} exceeds size cap {size_cap}")
     if g.n == 0:
         raise GraphError("empty graph")
     dist = [bfs_distances(g, v) for v in range(g.n)]
-    parts = connected_components(g)
-    comp_bit = [0] * g.n
-    need_mask = 0
-    for i, comp in enumerate(parts.components):
-        if len(comp) >= 2:
-            need_mask |= 1 << i
-            for v in comp:
-                comp_bit[v] = 1 << i
-    vertices = range(g.n)
     for size in range(1, g.n + 1):
-        for cand in combinations(vertices, size):
-            mask = 0
-            for v in cand:
-                mask |= comp_bit[v]
-            if mask != need_mask:
-                continue
-            cols = [dist[r] for r in cand]
-            rows = {tuple(col[v] for col in cols) for v in vertices}
-            if len(rows) == g.n:
+        for cand in combinations(range(g.n), size):
+            if len(set(zip(*(dist[r] for r in cand)))) == g.n:
                 return ResolvingWitness(size, cand)
     raise AssertionError("unreachable: the full vertex set always resolves")

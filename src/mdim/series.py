@@ -10,19 +10,16 @@ deg_u - deg_v into the metric dimension mark.
 `series_system` is the one builder of the chain: mobiles P (implicitly
 defined), the split P = ux + U + V by whether the root touches a leaf,
 unrooted degree-2-free trees S, the edge-subdivision substitution
-T = (1-x) S(x/(1-x)), and finally forests G.  G is built only when read:
-its exponential runs over every term of T and, at order 45, takes 1.4 s
-against 0.4 s for the bivariate tree chain, so every read but G skips it.
+T = (1-x) S(x/(1-x)), and finally forests G, built only when read.
 `mdim dist` and `mdim series --at-y` read only the mark y = u/v, so they
 build the same chain with v := 1/u (`at_y=True`): each count collapses to a
-Laurent polynomial in u alone, keyed (deg_u - deg_v, 0), and the tree chain
-builds in 0.3 s at order 50 against 0.65 s bivariate.
+Laurent polynomial in u alone, keyed (deg_u - deg_v, 0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from math import comb, factorial
 
@@ -50,16 +47,7 @@ class UVPoly:
         return isinstance(other, UVPoly) and self.terms == other.terms
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "UVPoly(0)"
-        bits = []
-        for (a, b), c in sorted(self.terms.items()):
-            mono = "".join(
-                (f"u^{a}" if a not in (0, 1) else "u" if a else "",
-                 f"v^{b}" if b not in (0, 1) else "v" if b else "")
-            )
-            bits.append(f"{c}{mono}" if mono else f"{c}")
-        return "UVPoly(" + " + ".join(bits) + ")"
+        return f"UVPoly({self.terms!r})"
 
     def __add__(self, other: "UVPoly") -> "UVPoly":
         out = dict(self.terms)
@@ -131,12 +119,10 @@ class TruncatedSeries:
 
     __slots__ = ("order", "counts")
 
-    def __init__(self, order: int, counts: list[UVPoly] | None = None):
+    def __init__(self, order: int, counts: list[UVPoly]):
         if order < 0:
             raise ValueError("order must be >= 0")
         self.order = order
-        if counts is None:
-            counts = [_P_ZERO] * (order + 1)
         if len(counts) != order + 1:
             raise ValueError("counts length must be order + 1")
         self.counts = counts
@@ -218,11 +204,6 @@ def x_times(order: int, poly: UVPoly, power: int = 1) -> TruncatedSeries:
     counts = [_P_ZERO] * (order + 1)
     if power <= order:
         counts[power] = poly.scale(factorial(power))
-    return TruncatedSeries(order, counts)
-
-
-def one_series(order: int) -> TruncatedSeries:
-    counts = [_P_ONE] + [_P_ZERO] * order
     return TruncatedSeries(order, counts)
 
 
@@ -328,8 +309,7 @@ class SeriesSystem:
 
     The tree chain P -> S -> T is solved on construction.  U, V and G are
     leaves that nothing else in the chain reads, so each is built on its
-    first read.  G's forest exponential runs over every term of T, and
-    `series --which T` and `dist --model tree` never pay for it.
+    first read.
     """
 
     order: int
@@ -351,7 +331,7 @@ class SeriesSystem:
     @cached_property
     def V(self) -> TruncatedSeries:
         A = self.P - x_times(self.order, _P_U)
-        return (self._exp_A - one_series(self.order) - A).shift_x()
+        return (self._exp_A - x_times(self.order, _P_ONE, 0) - A).shift_x()
 
     @cached_property
     def G(self) -> TruncatedSeries:
@@ -366,13 +346,13 @@ class SeriesSystem:
 MAX_ORDER = 100
 
 
+@cache
 def series_system(order: int, at_y: bool = False) -> SeriesSystem:
-    """Solve the tree chain P -> S -> T at one truncation order.
+    """Solve the tree chain P -> S -> T at one truncation order, once per process.
 
     With `at_y` the same chain runs with v := 1/u, the ring map
     (u, v) -> (y, 1/y): every count keeps only keys (k, 0), k = deg_u - deg_v,
-    so `y_powers` and `beta_distribution` read it unchanged, at a fraction of
-    the bivariate cost.
+    so `y_powers` and `beta_distribution` read it unchanged.
 
     Mobiles are rooted trees with a root half-edge and no degree-2 vertices.
     Their series P(x, u, v) is the unique zero-constant-term solution of
@@ -404,13 +384,3 @@ def series_system(order: int, at_y: bool = False) -> SeriesSystem:
         - (A2 + A2.shift_x()).half()
     )
     return SeriesSystem(order, v, P, E, S, tree_series(S))
-
-
-_SYSTEM_CACHE: dict[tuple[int, bool], SeriesSystem] = {}
-
-
-def cached_system(order: int, at_y: bool = False) -> SeriesSystem:
-    sys = _SYSTEM_CACHE.get((order, at_y))
-    if sys is None:
-        sys = _SYSTEM_CACHE[order, at_y] = series_system(order, at_y=at_y)
-    return sys

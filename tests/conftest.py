@@ -13,13 +13,13 @@ settings.load_profile("suite")
 
 @pytest.fixture(scope="session")
 def system30():
-    from mdim.series import cached_system
+    from mdim.series import series_system
 
-    return cached_system(30)
+    return series_system(30)
 
 
 @pytest.fixture(scope="session")
 def system45():
-    from mdim.series import cached_system
+    from mdim.series import series_system
 
-    return cached_system(45)
+    return series_system(45)

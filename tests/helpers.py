@@ -19,7 +19,7 @@ from scipy.stats import chi2
 from mdim.asymptotics import _c_closed, solve_rho
 from mdim.generators import prufer_decode
 from mdim.graph import Graph
-from mdim.series import SeriesSystem, TruncatedSeries, UVPoly, cached_system, one_series, x_times
+from mdim.series import SeriesSystem, TruncatedSeries, UVPoly, series_system, x_times
 
 
 def path_graph(n: int) -> Graph:
@@ -128,7 +128,7 @@ def pointed_series(sys_: SeriesSystem) -> tuple[TruncatedSeries, TruncatedSeries
     P, U, V = sys_.P, sys_.U, sys_.V
     N = sys_.order
     u, v = UVPoly({(1, 0): 1}), UVPoly({(0, 1): 1})
-    one = one_series(N)
+    one = x_times(N, UVPoly({(0, 0): 1}), 0)
     ux, ux2 = x_times(N, u), x_times(N, u, power=2)
     A = P - ux
     uxU = U.shift_x().poly_mul(u)
@@ -220,7 +220,7 @@ def tau_partial_sums(order: int) -> list[float]:
     The limit is 1 = rho(1) + (e-2)/(e-1); the partial sums increase to it
     from below (all counts are non-negative).
     """
-    P = cached_system(order).P
+    P = series_system(order).P
     rho1 = solve_rho(1.0)
     sums = []
     acc = 0.0

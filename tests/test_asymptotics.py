@@ -81,9 +81,9 @@ class TestTau:
         assert gap30 < 0.12
 
     def test_geometric_convergence_inside_radius(self):
-        from mdim.series import cached_system
+        from mdim.series import series_system
 
-        P = cached_system(30).P
+        P = series_system(30).P
         x = 0.9 / (E - 1)
         terms = [
             sum(P.count_poly(n).terms.values()) / math.factorial(n) * x**n

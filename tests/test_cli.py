@@ -203,7 +203,7 @@ class TestSeriesCommands:
             raise AssertionError("forest series built for a read that needs only the tree chain")
 
         monkeypatch.setattr(mdim.series, "forest_series", no_forest)
-        monkeypatch.setattr(mdim.series, "_SYSTEM_CACHE", {})
+        mdim.series.series_system.cache_clear()
         assert main(argv) == 0
 
     def test_dist_builds_forest_series_once(self, capsys, monkeypatch):
@@ -217,7 +217,7 @@ class TestSeriesCommands:
             return real(T, v)
 
         monkeypatch.setattr(mdim.series, "forest_series", counted)
-        monkeypatch.setattr(mdim.series, "_SYSTEM_CACHE", {})
+        mdim.series.series_system.cache_clear()
         assert main(["dist", "--model", "tree", "--n", "12"]) == 0
         assert calls == []
         for _ in range(2):
@@ -238,6 +238,43 @@ class TestSeriesCommands:
         monkeypatch.setattr(mdim.series, "_solve_P", no_build)
         assert main(argv) == 2
         assert "mdim: error: series order 101 outside 0..100" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_dist_rejects_n_below_one(self, capsys, monkeypatch, n):
+        # rejected before any series is built, naming the n that was given
+        import mdim.series
+
+        def no_build(order, v):
+            raise AssertionError("series built for n < 1")
+
+        monkeypatch.setattr(mdim.series, "_solve_P", no_build)
+        assert main(["dist", "--model", "tree", "--n", str(n)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"mdim: error: n={n} must be >= 1\n"
+
+    def test_series_system_is_built_once(self, capsys, monkeypatch):
+        # `series --at-y` and `dist` share one memoised system per (order, at_y)
+        import mdim.series
+
+        calls = {"P": 0, "G": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(mdim.series, "_solve_P", counting("P", mdim.series._solve_P))
+        monkeypatch.setattr(mdim.series, "forest_series", counting("G", mdim.series.forest_series))
+        mdim.series.series_system.cache_clear()
+        assert main(["series", "--order", "12", "--at-y"]) == 0
+        assert calls == {"P": 1, "G": 0}
+        assert main(["dist", "--model", "forest", "--n", "12"]) == 0
+        assert calls == {"P": 1, "G": 1}
+        assert mdim.series.series_system(12, at_y=True) is mdim.series.series_system(12, at_y=True)
+        assert calls == {"P": 1, "G": 1}
 
 
 class TestErrors:

@@ -143,6 +143,18 @@ class TestGraphConstruction:
         with pytest.raises(GraphError):
             Graph.from_edges(2, [(0, 2)])
 
+    def test_vertex_limit_checked_before_allocation(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match="exceeds the vertex limit"):
+                Graph.from_edges(MAX_VERTICES + 1, [])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_induced_subgraph(self):
         sub, labels = induced_subgraph(path_graph(5), [1, 2, 4])
         assert labels == [1, 2, 4]

@@ -13,7 +13,6 @@ from mdim.series import (
     TruncatedSeries,
     UVPoly,
     beta_distribution,
-    one_series,
     series_system,
     tree_series,
     x_times,
@@ -60,7 +59,7 @@ class TestSolveP:
         P = sys12.P
         N = P.order
         minus_ux = x_times(N, UVPoly({(1, 0): -1}))
-        Q = minus_ux.exp().poly_mul(ONE - V) + one_series(N).poly_mul(V)
+        Q = minus_ux.exp().poly_mul(ONE - V) + x_times(N, V, 0)
         rhs = (
             x_times(N, UVPoly({(1, 0): 1, (0, 0): -1}))
             + x_times(N, UVPoly({(1, 0): 1, (1, 1): -1}), power=2)
@@ -400,7 +399,7 @@ class TestSeriesAlgebra:
 
     def test_exp_requires_zero_constant_term(self):
         with pytest.raises(ValueError):
-            one_series(4).exp()
+            x_times(4, ONE, 0).exp()
 
     def test_tree_series_agrees_with_generic_composition(self, sys12):
         # T = (1-x) S(x/(1-x)) recomputed through the generic compose
