@@ -10,11 +10,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb
 
 import numpy as np
 
-from .graph import Graph, check_vertex_limit
+from .graph import Graph, check_edge_limit, check_vertex_limit
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,7 @@ def sample_uniform_tree(n: int, rng: np.random.Generator) -> Graph:
     check_vertex_limit(n)
     if n == 1:
         return Graph.from_edges(1, [])
-    seq = rng.integers(0, n, size=n - 2)
-    return prufer_decode([int(x) for x in seq])
+    return prufer_decode(rng.integers(0, n, size=n - 2).tolist())
 
 
 @dataclass(frozen=True)
@@ -184,30 +183,45 @@ def sample_uniform_forest(n: int, rng: np.random.Generator) -> Graph:
             members = [anchor]
             available = rest
         else:
-            picks = sorted(int(i) for i in rng.choice(m - 1, size=k - 1, replace=False))
+            picks = sorted(rng.choice(m - 1, size=k - 1, replace=False).tolist())
             members = [anchor] + [rest[i] for i in picks]
             chosen = set(picks)
             available = [v for i, v in enumerate(rest) if i not in chosen]
-            seq = [int(x) for x in rng.integers(0, k, size=k - 2)]
+            seq = rng.integers(0, k, size=k - 2).tolist()
             edges.extend((members[a], members[b]) for a, b in _prufer_edges(seq))
     return Graph.from_edges(n, edges)
 
 
-def _pair_from_index(idx: int, n: int, total: int) -> tuple[int, int]:
-    # invert the row-major upper-triangle enumeration of pairs (i < j)
-    rev = total - 1 - idx
-    t = (isqrt(8 * rev + 1) - 1) // 2
+def _pairs_from_indices(idx: np.ndarray, n: int, total: int) -> np.ndarray:
+    """Invert the row-major upper-triangle enumeration of pairs (i < j):
+    the (m, 2) array of pairs with the given indices."""
+    rev = total - 1 - idx  # pair (i, j) counted from the end lies in row n - 2 - t
+    t = ((np.sqrt(8 * rev + 1) - 1) // 2).astype(np.int64)
+    t -= t * (t + 1) // 2 > rev  # a float sqrt below 2^53 is at most one off
+    t += (t + 1) * (t + 2) // 2 <= rev
     i = n - 2 - t
     j = idx - i * (2 * n - i - 1) // 2 + i + 1
-    return i, j
+    return np.stack((i, j), axis=1)
+
+
+def _distinct_indices(rng: np.random.Generator, total: int, k: int) -> np.ndarray:
+    """k distinct pair indices in [0, total), sorted: draws of the missing
+    count, repeated until none is missing."""
+    picked = np.empty(0, dtype=np.int64)
+    while len(picked) < k:
+        # the sorted union; np.union1d gives the same but hashes first, 15x slower
+        merged = np.sort(np.concatenate((picked, rng.integers(0, total, size=k - len(picked)))))
+        picked = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
+    return picked
 
 
 def sample_gnp(n: int, p: float, rng: np.random.Generator) -> Graph:
     """Erdos-Renyi G(n,p): each of the C(n,2) edges present independently.
 
     Draws the edge count m, then m distinct pair indices by rejection; for
-    m > C(n,2)/2 it draws the absent pairs instead and iterates over all
-    C(n,2) pair indices, so dense p at large n costs O(n^2) time.
+    m > C(n,2)/2 it draws the absent pairs instead and masks them out of all
+    C(n,2) pair indices, so dense p at large n costs O(n^2) time and memory.
+    An m above MAX_EDGES is rejected before any pair index is drawn.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -216,17 +230,11 @@ def sample_gnp(n: int, p: float, rng: np.random.Generator) -> Graph:
         raise ValueError(f"p={p} outside [0, 1]")
     total = n * (n - 1) // 2
     m = int(rng.binomial(total, p)) if total > 0 else 0
+    check_edge_limit(m)
     if m <= total // 2:
-        picked: set[int] = set()
-        while len(picked) < m:
-            batch = rng.integers(0, total, size=m - len(picked))
-            picked.update(int(x) for x in batch)
-        chosen = picked
+        chosen = _distinct_indices(rng, total, m)
     else:
-        excluded: set[int] = set()
-        while len(excluded) < total - m:
-            batch = rng.integers(0, total, size=total - m - len(excluded))
-            excluded.update(int(x) for x in batch)
-        chosen = (i for i in range(total) if i not in excluded)
-    edges = [_pair_from_index(idx, n, total) for idx in chosen]
-    return Graph.from_edges(n, edges)
+        present = np.ones(total, dtype=bool)
+        present[_distinct_indices(rng, total, total - m)] = False
+        chosen = np.flatnonzero(present)
+    return Graph.from_edges(n, _pairs_from_indices(chosen, n, total))

@@ -1,14 +1,20 @@
 """Labelled undirected simple graphs: distances, components, edge-list I/O.
 
-Vertices are dense integer labels 0..n-1. Graphs are immutable after
-construction, so they can be shared freely across threads/processes.
+Vertices are dense integer labels 0..n-1. A graph is stored in CSR form
+(compressed sparse rows): the neighbours of v, in increasing order, are
+`indices[indptr[v]:indptr[v + 1]]`. Graphs are immutable after construction
+(the arrays are read-only), so they can be shared freely across
+threads/processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -20,58 +26,112 @@ class GraphError(ValueError):
 UNREACHABLE = None
 
 
-@dataclass(frozen=True)
+def _edge_array(n: int, edges) -> tuple[object, np.ndarray]:
+    """`edges` as given (materialised once) and as an (m, 2) int64 array.
+
+    Ids beyond int64 become -1 in the array: out of range either way, and
+    the error message quotes them from the materialised pairs.
+    """
+    pairs = edges if isinstance(edges, np.ndarray) else list(edges)
+    try:
+        arr = np.asarray(pairs, dtype=np.int64)
+    except OverflowError:
+        arr = np.array([[x if 0 <= x < n else -1 for x in e] for e in pairs], dtype=np.int64)
+    if arr.size == 0:
+        return pairs, arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise GraphError("edges must be (u, v) pairs")
+    return pairs, arr
+
+
+def _raise_first_offending(n: int, pairs, u: np.ndarray, v: np.ndarray) -> None:
+    """Raise the GraphError for the first pair that is out of range, a
+    self-loop, or a repeat of an earlier pair."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    bad = (lo < 0) | (hi >= n) | (lo == hi)
+    key = np.where(bad, -1 - np.arange(len(u)), lo * n + hi)
+    order = np.argsort(key, kind="stable")
+    bad[order[1:][key[order[1:]] == key[order[:-1]]]] = True  # later copies
+    a, b = pairs[int(bad.argmax())]
+    if not (0 <= a < n and 0 <= b < n):
+        raise GraphError(f"edge ({a},{b}) out of range for n={n}")
+    if a == b:
+        raise GraphError(f"self-loop at vertex {a}")
+    raise GraphError(f"duplicate edge ({a},{b})")
+
+
+def _row_sources(indptr: np.ndarray) -> np.ndarray:
+    """The row (source vertex) of each entry of a CSR `indices` array."""
+    return np.arange(len(indptr) - 1).repeat(indptr[1:] - indptr[:-1])
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with sorted adjacency lists."""
+    """Simple undirected graph on vertices 0..n-1 in CSR form."""
 
     n: int
-    adj: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+    def from_edges(cls, n: int, edges) -> "Graph":
+        """Graph from an (m, 2) int array or an iterable of (u, v) pairs.
+
+        The first offending pair, in input order, is named in the error:
+        out of range, then self-loop, then a repeat of an earlier pair.
+        """
         check_vertex_limit(n)
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
-        neighbours: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise GraphError(f"duplicate edge ({u},{v})")
-            seen.add(key)
-            neighbours[u].append(v)
-            neighbours[v].append(u)
-        return cls(n, tuple(tuple(sorted(ns)) for ns in neighbours))
+        pairs, arr = _edge_array(n, edges)
+        check_edge_limit(len(arr))
+        u, v = arr[:, 0], arr[:, 1]
+        # every edge in both directions as the key source * n + target, sorted:
+        # a self-loop or a repeated pair makes two neighbouring keys equal
+        keys = np.sort(np.concatenate((u * n + v, v * n + u)))
+        # as unsigned, a negative id wraps past n too
+        if np.count_nonzero(arr.view(np.uint64) >= n) or np.count_nonzero(keys[1:] == keys[:-1]):
+            _raise_first_offending(n, pairs, u, v)
+        indptr = keys.searchsorted(np.arange(n + 1) * n)
+        indices = keys % n
+        indptr.flags.writeable = indices.flags.writeable = False
+        return cls(n, indptr, indices)
+
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbour tuples, derived from the arrays on first read."""
+        flat, ptr = self.indices.tolist(), self.indptr.tolist()
+        return tuple(tuple(flat[ptr[v] : ptr[v + 1]]) for v in range(self.n))
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return self.indptr[1:] - self.indptr[:-1]
 
     @property
     def edge_count(self) -> int:
-        return sum(len(ns) for ns in self.adj) // 2
+        return len(self.indices) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
+        src = _row_sources(self.indptr)
+        keep = src < self.indices
+        return zip(src[keep].tolist(), self.indices[keep].tolist())
 
 
 def bfs_distances(g: Graph, source: int) -> list:
     """Hop distances from `source`; UNREACHABLE outside its component."""
     if not 0 <= source < g.n:
         raise GraphError(f"source {source} out of range for n={g.n}")
+    adj = g.adj
     dist: list = [UNREACHABLE] * g.n
     dist[source] = 0
     visited = [source]  # doubles as the BFS queue: the loop reads what it appends
     for u in visited:
         du = dist[u] + 1
-        for w in g.adj[u]:
+        for w in adj[u]:
             if dist[w] is UNREACHABLE:
                 dist[w] = du
                 visited.append(w)
@@ -105,65 +165,112 @@ class ComponentKind(Enum):
     NON_TREE = "non-tree"
 
 
-@dataclass(frozen=True)
+_KINDS = tuple(ComponentKind)  # indexed by the codes `ComponentPartition.kinds` computes
+
+
+@dataclass(frozen=True, eq=False)
 class ComponentPartition:
-    assignment: tuple[int, ...]
-    components: tuple[tuple[int, ...], ...]
-    kinds: tuple[ComponentKind, ...]
+    """Components numbered in the order of their smallest vertex.
+
+    The arrays are per vertex (`component_of`) and per component (`sizes`,
+    `edge_counts`, and `branched`: has a vertex of degree > 2); the tuple
+    views `assignment`, `components` and `kinds` are derived on first read.
+    """
+
+    component_of: np.ndarray
+    sizes: np.ndarray
+    edge_counts: np.ndarray
+    branched: np.ndarray
+
+    @property
+    def cyclic(self) -> np.ndarray:
+        """Per component: True when it has a cycle (as many edges as vertices, or more)."""
+        return self.edge_counts >= self.sizes
+
+    @cached_property
+    def assignment(self) -> tuple[int, ...]:
+        return tuple(self.component_of.tolist())
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Each component's vertices in increasing order."""
+        flat = np.argsort(self.component_of, kind="stable").tolist()
+        ends = np.cumsum(self.sizes).tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends))
+
+    @cached_property
+    def kinds(self) -> tuple[ComponentKind, ...]:
+        codes = np.where(self.sizes == 1, 0, np.where(self.cyclic, 3, np.where(self.branched, 2, 1)))
+        return tuple(_KINDS[c] for c in codes.tolist())
+
+
+def _smallest_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The smallest vertex of each vertex's component, for edges u < v, by
+    hook-and-compress (Shiloach & Vishkin, J. Algorithms 1982): hook every
+    root joined by an edge to a smaller root onto the smallest such root,
+    then point every vertex at its root; repeat until no edge joins two
+    roots. A parent is always smaller than its child, so the roots are the
+    component minima.
+    """
+    parent = np.arange(n)
+    lo, hi = u, v  # at first every vertex is a root
+    while len(lo):
+        np.minimum.at(parent, hi, lo)
+        while True:
+            grand = parent[parent]
+            if not np.count_nonzero(grand != parent):
+                break
+            parent = grand
+        pu, pv = parent[u], parent[v]
+        cross = pu != pv
+        lo, hi = pu[cross], pv[cross]
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    return parent
 
 
 def connected_components(g: Graph) -> ComponentPartition:
     """Partition into components, each classified by shape."""
-    assignment = [-1] * g.n
-    components: list[tuple[int, ...]] = []
-    kinds: list[ComponentKind] = []
-    for start in range(g.n):
-        if assignment[start] >= 0:
-            continue
-        cid = len(components)
-        assignment[start] = cid
-        comp = [start]
-        for u in comp:  # BFS with `comp` as its queue
-            for w in g.adj[u]:
-                if assignment[w] < 0:
-                    assignment[w] = cid
-                    comp.append(w)
-        comp.sort()
-        size = len(comp)
-        edges = sum(len(g.adj[v]) for v in comp) // 2
-        if size == 1:
-            kind = ComponentKind.ISOLATED_VERTEX
-        elif edges >= size:
-            kind = ComponentKind.NON_TREE
-        elif all(len(g.adj[v]) <= 2 for v in comp):
-            kind = ComponentKind.PATH
-        else:
-            kind = ComponentKind.NON_PATH_TREE
-        components.append(tuple(comp))
-        kinds.append(kind)
-    return ComponentPartition(tuple(assignment), tuple(components), tuple(kinds))
+    src = _row_sources(g.indptr)
+    half = src < g.indices
+    u = src[half]
+    smallest = _smallest_labels(g.n, u, g.indices[half])
+    roots = (smallest == np.arange(g.n)).nonzero()[0]
+    k = len(roots)
+    number = np.empty(g.n, dtype=np.int64)
+    number[roots] = np.arange(k)
+    component_of = number[smallest]
+    return ComponentPartition(
+        component_of,
+        np.bincount(component_of, minlength=k),
+        np.bincount(component_of[u], minlength=k),
+        np.bincount(component_of[g.degrees > 2], minlength=k) > 0,
+    )
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int]]:
     """Subgraph on `vertices` relabelled to 0..k-1; returns (subgraph, old labels)."""
-    verts = sorted(vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    edges = [
-        (index[u], index[w])
-        for u in verts
-        for w in g.adj[u]
-        if u < w and w in index
-    ]
-    return Graph.from_edges(len(verts), edges), verts
+    verts = np.sort(np.fromiter(vertices, dtype=np.int64))
+    index = np.full(g.n, -1)
+    index[verts] = np.arange(len(verts))
+    src, dst = index[_row_sources(g.indptr)], index[g.indices]
+    keep = (src >= 0) & (src < dst)
+    return Graph.from_edges(len(verts), np.stack((src[keep], dst[keep]), axis=1)), verts.tolist()
 
 
 MAX_VERTICES = 10**6  # largest n that `Graph.from_edges` accepts
+MAX_EDGES = 10**7  # largest edge count that `Graph.from_edges` accepts
 
 
 def check_vertex_limit(n: int) -> None:
     """Reject n > MAX_VERTICES, before the caller allocates per vertex."""
     if n > MAX_VERTICES:
         raise GraphError(f"n={n} exceeds the vertex limit {MAX_VERTICES}")
+
+
+def check_edge_limit(m: int) -> None:
+    """Reject m > MAX_EDGES, before the caller allocates per edge."""
+    if m > MAX_EDGES:
+        raise GraphError(f"m={m} edges exceeds the edge limit {MAX_EDGES}")
 
 
 def _content_lines(text: str) -> list[str]:
@@ -194,11 +301,13 @@ def parse_header(text: str) -> tuple[int, int]:
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: header line "n m", then m lines "u v".
 
-    A header with n > MAX_VERTICES is rejected before anything is built.
+    A header with n > MAX_VERTICES or m > MAX_EDGES is rejected before
+    anything is built.
     """
     lines = _content_lines(text)
     n, m = _header(lines)
     check_vertex_limit(n)
+    check_edge_limit(m)
     if m != len(lines) - 1:
         raise GraphError(f"header declares {m} edges, found {len(lines) - 1}")
     edges = []

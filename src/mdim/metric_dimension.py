@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
+import numpy as np
+
 from .graph import (
-    ComponentKind,
     ComponentPartition,
     Graph,
     GraphError,
@@ -38,9 +39,10 @@ class SizeCapError(ValueError):
 class ComponentTooLargeError(ValueError):
     """A non-tree component exceeds the brute-force cap."""
 
-    def __init__(self, size: int, cap: int):
+    def __init__(self, size: int, edges: int, cap: int):
         super().__init__(f"non-tree component of size {size} exceeds cap {cap}")
         self.size = size
+        self.edges = edges
         self.cap = cap
 
 
@@ -62,23 +64,23 @@ def _solve(g: Graph, parts: ComponentPartition, brute_cap: int) -> ResolvingWitn
     witness, except that with >= 2 components the largest-labelled one is
     left out: it is the unique vertex with an all-unreachable profile.
     """
-    non_tree = [c for c, k in zip(parts.components, parts.kinds) if k is ComponentKind.NON_TREE]
-    for comp in non_tree:
-        if len(comp) > brute_cap:
-            raise ComponentTooLargeError(len(comp), brute_cap)
+    cyclic = parts.cyclic
+    non_tree = cyclic.nonzero()[0].tolist()
+    for c in non_tree:
+        if parts.sizes[c] > brute_cap:
+            raise ComponentTooLargeError(int(parts.sizes[c]), int(parts.edge_counts[c]), brute_cap)
     witness: list[int] = []
-    for comp in non_tree:
-        sub, labels = induced_subgraph(g, comp)
+    for c in non_tree:
+        sub, labels = induced_subgraph(g, (parts.component_of == c).nonzero()[0])
         witness.extend(labels[v] for v in brute_force_beta(sub, size_cap=brute_cap).witness)
-    adj, kinds, assignment = g.adj, parts.kinds, parts.assignment
-    deg = [len(ns) for ns in adj]
+    degrees = g.degrees
+    leaves = ((degrees == 1) & ~cyclic[parts.component_of]).nonzero()[0].tolist()
+    deg, ptr, nbr = degrees.tolist(), g.indptr.tolist(), g.indices.tolist()
     terminals: set[int] = set()
-    for leaf in range(g.n):
-        if deg[leaf] != 1 or kinds[assignment[leaf]] is ComponentKind.NON_TREE:
-            continue
-        prev, cur = leaf, adj[leaf][0]
+    for leaf in leaves:
+        prev, cur = leaf, nbr[ptr[leaf]]
         while deg[cur] == 2:
-            a, b = adj[cur]
+            a, b = nbr[ptr[cur]], nbr[ptr[cur] + 1]
             prev, cur = cur, (b if a == prev else a)
         if deg[cur] == 1:
             if leaf < cur:
@@ -87,8 +89,8 @@ def _solve(g: Graph, parts: ComponentPartition, brute_cap: int) -> ResolvingWitn
             witness.append(leaf)
         else:
             terminals.add(cur)
-    isolated = [v for v in range(g.n) if deg[v] == 0]
-    witness.extend(isolated[:-1] if len(parts.components) >= 2 else isolated)
+    isolated = (degrees == 0).nonzero()[0].tolist()
+    witness.extend(isolated[:-1] if len(parts.sizes) >= 2 else isolated)
     return ResolvingWitness(len(witness), tuple(sorted(witness)))
 
 
@@ -100,9 +102,9 @@ def slater_tree_beta(t: Graph) -> ResolvingWitness:
     leaf attached to each important vertex.
     """
     parts = connected_components(t)
-    if len(parts.components) != 1:
-        raise NotATreeError(f"graph has {len(parts.components)} components, a tree has 1")
-    if parts.kinds[0] is ComponentKind.NON_TREE:
+    if len(parts.sizes) != 1:
+        raise NotATreeError(f"graph has {len(parts.sizes)} components, a tree has 1")
+    if parts.cyclic[0]:
         raise NotATreeError("graph contains a cycle")
     return _solve(t, parts, 0)
 
@@ -112,7 +114,7 @@ def forest_beta(f: Graph) -> ResolvingWitness:
     if f.n == 0:
         raise NotAForestError("empty graph")
     parts = connected_components(f)
-    if ComponentKind.NON_TREE in parts.kinds:
+    if np.count_nonzero(parts.cyclic):
         raise NotAForestError("graph contains a cycle")
     return _solve(f, parts, 0)
 

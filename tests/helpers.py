@@ -1,7 +1,8 @@
 """Shared test utilities: chi-square goodness of fit, small graph builders, leg
-counts, and the reference oracles the library is checked against: tree
-enumeration, generic series composition, the pointed series of the
-dissymmetry theorem, the term-by-term series for C(c), the mobile series'
+counts, and the reference oracles the library is checked against: the
+set-based edge check, the BFS component partition, the scalar pair-index
+decoder, tree enumeration, generic series composition, the pointed series of
+the dissymmetry theorem, the term-by-term series for C(c), the mobile series'
 partial sums, a finite-difference stencil for rho, and a CSV reader for
 `mdim mc` output."""
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, isqrt
 from typing import Iterator
 
 import mpmath
@@ -18,7 +19,7 @@ from scipy.stats import chi2
 
 from mdim.asymptotics import _c_closed, solve_rho
 from mdim.generators import prufer_decode
-from mdim.graph import Graph
+from mdim.graph import ComponentKind, Graph, GraphError
 from mdim.series import SeriesSystem, TruncatedSeries, UVPoly, series_system, x_times
 
 
@@ -65,6 +66,73 @@ def leg_counts(t: Graph) -> dict[int, int]:
                 prev, cur = cur, (b if a == prev else a)
             legs[v] += t.degree(cur) == 1
     return legs
+
+
+def checked_adjacency(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """Sorted adjacency tuples by a per-edge scan with a set of seen pairs,
+    raising the first error in edge order: the oracle for the array checks
+    and CSR build in `Graph.from_edges` (the vertex limit is left to it)."""
+    if n < 0:
+        raise GraphError(f"vertex count must be non-negative, got {n}")
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise GraphError(f"duplicate edge ({u},{v})")
+        seen.add(key)
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    return tuple(tuple(sorted(ns)) for ns in neighbours)
+
+
+def bfs_partition(g: Graph):
+    """Components by breadth-first search from each unvisited vertex in
+    increasing order, as (assignment, components, kinds): the oracle for the
+    hook-and-compress labelling in `connected_components`."""
+    assignment = [-1] * g.n
+    components: list[tuple[int, ...]] = []
+    kinds: list[ComponentKind] = []
+    for start in range(g.n):
+        if assignment[start] >= 0:
+            continue
+        cid = len(components)
+        assignment[start] = cid
+        comp = [start]
+        for u in comp:  # BFS with `comp` as its queue
+            for w in g.adj[u]:
+                if assignment[w] < 0:
+                    assignment[w] = cid
+                    comp.append(w)
+        comp.sort()
+        size = len(comp)
+        edges = sum(len(g.adj[v]) for v in comp) // 2
+        if size == 1:
+            kind = ComponentKind.ISOLATED_VERTEX
+        elif edges >= size:
+            kind = ComponentKind.NON_TREE
+        elif all(len(g.adj[v]) <= 2 for v in comp):
+            kind = ComponentKind.PATH
+        else:
+            kind = ComponentKind.NON_PATH_TREE
+        components.append(tuple(comp))
+        kinds.append(kind)
+    return tuple(assignment), tuple(components), tuple(kinds)
+
+
+def pair_from_index(idx: int, n: int, total: int) -> tuple[int, int]:
+    """Pair (i, j), i < j, with index `idx` in the row-major enumeration of
+    the C(n,2) = `total` pairs, in exact integer arithmetic: the oracle for
+    the vectorised decoder in `sample_gnp`."""
+    rev = total - 1 - idx
+    t = (isqrt(8 * rev + 1) - 1) // 2
+    i = n - 2 - t
+    j = idx - i * (2 * n - i - 1) // 2 + i + 1
+    return i, j
 
 
 def chi_square_ok(observed: dict, probs: dict, total: int, alpha: float = 0.01) -> bool:

@@ -70,6 +70,15 @@ class TestExactAndBrute:
         assert peak < 8 * 2**20
 
 
+    def test_exact_vertex_id_beyond_int64(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("2 1\n0 99999999999999999999\n")
+        assert main(["exact", "--graph", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "mdim: error: edge (0,99999999999999999999) out of range for n=2\n"
+
+
 class TestSamplers:
     def test_sample_tree_edge_list(self, capsys):
         code, out = run_cli(capsys, "sample-tree", "--n", "12", "--seed", "3")
@@ -147,6 +156,29 @@ class TestSamplers:
 
         g = parse_graph(out)
         assert g.n == 100
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample-gnp", "--n", "100000", "--p", "1"],
+            ["mc", "--model", "gnp", "--p-exponent", "0", "--n", "100000", "--replicates", "1"],
+        ],
+    )
+    def test_edge_limit_exits_before_drawing_pairs(self, capsys, argv):
+        import tracemalloc
+
+        from mdim.graph import MAX_EDGES
+
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        m = 100_000 * 99_999 // 2
+        assert capsys.readouterr().err == f"mdim: error: m={m} edges exceeds the edge limit {MAX_EDGES}\n"
+        assert peak < 8 * 2**20
 
     def test_sample_gnp_c_needs_vertices(self, capsys):
         # p = c/n has no value at n = 0
@@ -361,21 +393,49 @@ class TestMonteCarlo:
         assert code == 1
 
 
+def fresh_python_stdout(code):
+    """stdout of `code` run by a new interpreter that imports mdim from src/."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
 class TestDependencies:
     def test_cli_import_leaves_out_mpmath(self):
         # mpmath serves only the tests' extended-precision checks
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src)
         code = "import sys, mdim.cli, mdim.experiments; print('mpmath' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        ).stdout
-        assert out == "False\n"
+        assert fresh_python_stdout(code) == "False\n"
+
+    def test_gnp_run_leaves_out_csgraph(self):
+        # components are labelled in numpy alone; scipy.sparse.csgraph would
+        # add about 10 MB to the peak RSS of every `mdim mc` run
+        code = (
+            "import contextlib, io, sys\n"
+            "from mdim.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = main(['mc', '--model', 'gnp', '--c', '0.9', '--n', '2000', '--replicates', '3'])\n"
+            "print(rc, 'scipy.sparse.csgraph' in sys.modules)"
+        )
+        assert fresh_python_stdout(code) == "0 False\n"
+
+    def test_series_commands_leave_out_numpy(self):
+        # they build no graph; numpy would add about 10 MB and 60 ms to each
+        code = (
+            "import contextlib, io, sys\n"
+            "import mdim\n"
+            "from mdim.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rcs = [main(['dist', '--model', 'forest', '--n', '8']), main(['series', '--order', '6'])]\n"
+            "print(rcs, 'numpy' in sys.modules)"
+        )
+        assert fresh_python_stdout(code) == "[0, 0] False\n"
 
     def test_third_party_imports_are_declared(self):
         import ast

@@ -4,17 +4,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import chi_square_ok, enumerate_trees, forest_counts_recurrence
+from helpers import chi_square_ok, enumerate_trees, forest_counts_recurrence, pair_from_index
 from mdim.generators import (
     ForestCountTable,
     SeededRng,
+    _pairs_from_indices,
     forest_counts,
     prufer_decode,
     sample_gnp,
     sample_uniform_forest,
     sample_uniform_tree,
 )
-from mdim.graph import ComponentKind, connected_components, serialize_graph
+from mdim.graph import MAX_EDGES, MAX_VERTICES, GraphError, connected_components, serialize_graph
 
 
 def edge_key(g):
@@ -204,6 +205,36 @@ class TestGnp:
         mean_target = total * p
         sigma = math.sqrt(total * p * (1 - p) / reps)
         assert abs(np.mean(counts) - mean_target) < 3.5 * sigma
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
+    def test_pair_decoder_every_index(self, n):
+        total = n * (n - 1) // 2
+        got = _pairs_from_indices(np.arange(total), n, total).tolist()
+        assert got == [list(pair_from_index(i, n, total)) for i in range(total)]
+        assert got == [[i, j] for i in range(n) for j in range(i + 1, n)]
+
+    def test_pair_decoder_at_the_vertex_limit(self):
+        # row starts and ends, where a float sqrt one off would pick the wrong row
+        n = MAX_VERTICES
+        total = n * (n - 1) // 2
+        starts = [i * (2 * n - i - 1) // 2 for i in (0, 1, 2, 1000, n // 2, n - 3, n - 2)]
+        idx = sorted({k + d for k in starts for d in (-1, 0, 1) if 0 <= k + d < total})
+        idx += SeededRng(3, 0).generator().integers(0, total, size=2000).tolist()
+        got = _pairs_from_indices(np.array(idx), n, total).tolist()
+        assert got == [list(pair_from_index(i, n, total)) for i in idx]
+
+    def test_edge_limit_checked_before_drawing_pairs(self):
+        import tracemalloc
+
+        rng = SeededRng(1, 0).generator()
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match=f"edges exceeds the edge limit {MAX_EDGES}"):
+                sample_gnp(100_000, 1.0, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_moderate_density_simple(self):
         rng = SeededRng(2, 0).generator()

@@ -1,16 +1,19 @@
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import complete_graph, path_graph, star_graph
+from helpers import bfs_partition, checked_adjacency, complete_graph, path_graph, star_graph
 from mdim.graph import (
+    MAX_EDGES,
     MAX_VERTICES,
     UNREACHABLE,
     ComponentKind,
     Graph,
     GraphError,
     bfs_distances,
+    check_edge_limit,
     connected_components,
     distance_profile,
     induced_subgraph,
@@ -30,6 +33,46 @@ def random_graph(draw, max_n=10):
 
 
 graphs = st.composite(random_graph)()
+
+
+def sparse_graph(draw, max_n=60):
+    """About n random pairs on n vertices: trees, long paths and a few cycles."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    ends = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=n))
+    return Graph.from_edges(n, sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b}))
+
+
+sparse_graphs = st.composite(sparse_graph)()
+
+
+def relabelled(edges, n, seed):
+    """`edges` with vertex v renamed perm[v] for a seeded random permutation."""
+    perm = np.random.default_rng(seed).permutation(n)
+    return Graph.from_edges(n, perm[np.asarray(edges)])
+
+
+def star_of_paths(legs, length):
+    """Centre n-1 (the largest label) joined to `legs` paths of `length` vertices."""
+    n = legs * length + 1
+    edges = [(n - 1, leg * length) for leg in range(legs)]
+    edges += [(leg * length + i, leg * length + i + 1) for leg in range(legs) for i in range(length - 1)]
+    return n, edges
+
+
+def cycle_with_pendant_trees(cycle, tree_size, seed):
+    """A cycle on 0..cycle-1, each vertex the root of a random tree on
+    `tree_size` vertices (each new vertex joins a uniform earlier one)."""
+    rng = np.random.default_rng(seed)
+    edges = [(i, (i + 1) % cycle) for i in range(cycle)]
+    n = cycle
+    for root in range(cycle):
+        block = [root]
+        for _ in range(tree_size - 1):
+            edges.append((block[int(rng.integers(len(block)))], n))
+            block.append(n)
+            n += 1
+    return n, edges
 
 
 class TestUnreachable:
@@ -130,6 +173,62 @@ class TestComponents:
             assert (kind is ComponentKind.NON_TREE) == (edges >= len(comp))
 
 
+class TestComponentsOracle:
+    """`connected_components` against the BFS partition in `helpers`."""
+
+    @staticmethod
+    def assert_matches(g):
+        parts = connected_components(g)
+        assignment, components, kinds = bfs_partition(g)
+        assert parts.assignment == assignment
+        assert parts.components == components
+        assert parts.kinds == kinds
+        assert parts.sizes.tolist() == [len(c) for c in components]
+        assert parts.edge_counts.tolist() == [sum(g.degree(v) for v in c) // 2 for c in components]
+        return parts
+
+    @given(graphs)
+    def test_dense_small(self, g):
+        self.assert_matches(g)
+
+    @given(sparse_graphs)
+    def test_sparse(self, g):
+        self.assert_matches(g)
+
+    def test_path_labelled_decreasing(self):
+        n = 10_000
+        g = Graph.from_edges(n, [(v, v - 1) for v in range(n - 1, 0, -1)])
+        assert self.assert_matches(g).kinds == (ComponentKind.PATH,)
+
+    def test_path_shuffled_labels(self):
+        n = 10_000
+        g = relabelled([(i, i + 1) for i in range(n - 1)], n, seed=1)
+        assert self.assert_matches(g).kinds == (ComponentKind.PATH,)
+
+    def test_star_of_long_paths(self):
+        n, edges = star_of_paths(legs=40, length=250)
+        for g in (Graph.from_edges(n, edges), relabelled(edges, n, seed=2)):
+            assert self.assert_matches(g).kinds == (ComponentKind.NON_PATH_TREE,)
+
+    def test_cycle_with_pendant_trees(self):
+        n, edges = cycle_with_pendant_trees(cycle=300, tree_size=20, seed=3)
+        for g in (Graph.from_edges(n, edges), relabelled(edges, n, seed=4)):
+            assert self.assert_matches(g).kinds == (ComponentKind.NON_TREE,)
+
+    def test_many_components(self):
+        n, edges = cycle_with_pendant_trees(cycle=5, tree_size=30, seed=5)
+        parts = [(n, edges), star_of_paths(3, 40), (7, []), (1, [])]
+        base, union = 0, []
+        for size, es in parts:
+            union += [(u + base, v + base) for u, v in es]
+            base += size
+        self.assert_matches(relabelled(union, base, seed=6))
+
+    def test_empty_graph(self):
+        parts = self.assert_matches(Graph.from_edges(0, []))
+        assert parts.components == () and len(parts.sizes) == 0
+
+
 class TestGraphConstruction:
     def test_rejects_self_loop(self):
         with pytest.raises(GraphError):
@@ -142,6 +241,65 @@ class TestGraphConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(GraphError):
             Graph.from_edges(2, [(0, 2)])
+
+    def test_first_offending_edge_named(self):
+        cases = [
+            (3, [(0, 1), (2, 2), (1, 0), (0, 5)], "self-loop at vertex 2"),
+            (3, [(0, 1), (1, 0), (2, 2)], "duplicate edge (1,0)"),
+            (3, [(1, 2), (3, 3), (2, 1)], "edge (3,3) out of range for n=3"),
+            (3, [(0, -1)], "edge (0,-1) out of range for n=3"),
+            (2, [(0, 99999999999999999999)], "edge (0,99999999999999999999) out of range for n=2"),
+            (2, [(1, 1), (0, 2**64)], "self-loop at vertex 1"),
+            (2, [(0, 1), (-(2**70), 1)], f"edge ({-(2**70)},1) out of range for n=2"),
+            (-1, [], "vertex count must be non-negative, got -1"),
+        ]
+        for n, edges, message in cases:
+            with pytest.raises(GraphError) as info:
+                Graph.from_edges(n, edges)
+            assert str(info.value) == message
+
+    @given(
+        st.integers(min_value=0, max_value=8),
+        st.lists(st.tuples(st.integers(-2, 9), st.integers(-2, 9)), max_size=14),
+    )
+    def test_matches_set_based_check(self, n, edges):
+        try:
+            want = checked_adjacency(n, edges)
+        except GraphError as exc:
+            want = str(exc)
+        for given_edges in (edges, np.array(edges, dtype=np.int64).reshape(-1, 2)):
+            try:
+                got = Graph.from_edges(n, given_edges).adj
+            except GraphError as exc:
+                got = str(exc)
+            assert got == want
+
+    def test_array_and_pair_inputs_agree(self):
+        edges = [(3, 1), (0, 2), (2, 3), (4, 0)]
+        a = Graph.from_edges(5, edges)
+        b = Graph.from_edges(5, np.array(edges))
+        c = Graph.from_edges(5, iter(edges))
+        assert a.indptr.tolist() == b.indptr.tolist() == c.indptr.tolist() == [0, 2, 3, 5, 7, 8]
+        assert a.indices.tolist() == b.indices.tolist() == c.indices.tolist() == [2, 4, 3, 0, 3, 1, 2, 0]
+        assert a.adj == ((2, 4), (3,), (0, 3), (1, 2), (0,))
+
+    def test_rejects_non_pairs(self):
+        with pytest.raises(GraphError, match="pairs"):
+            Graph.from_edges(3, [(0, 1, 2)])
+
+    def test_arrays_read_only(self):
+        g = path_graph(4)
+        with pytest.raises(ValueError):
+            g.indices[0] = 3
+        with pytest.raises(ValueError):
+            g.indptr[1] = 0
+
+    def test_edge_limit(self):
+        check_edge_limit(MAX_EDGES)
+        with pytest.raises(GraphError, match=f"m={MAX_EDGES + 1} edges exceeds the edge limit {MAX_EDGES}"):
+            check_edge_limit(MAX_EDGES + 1)
+        with pytest.raises(GraphError, match="exceeds the edge limit"):
+            parse_graph(f"3 {MAX_EDGES + 1}\n0 1\n")
 
     def test_vertex_limit_checked_before_allocation(self):
         import tracemalloc
@@ -159,6 +317,15 @@ class TestGraphConstruction:
         sub, labels = induced_subgraph(path_graph(5), [1, 2, 4])
         assert labels == [1, 2, 4]
         assert list(sub.edges()) == [(0, 1)]
+
+    @given(graphs, st.data())
+    def test_induced_subgraph_matches_adjacency(self, g, data):
+        verts = data.draw(st.sets(st.integers(0, g.n - 1)))
+        sub, labels = induced_subgraph(g, verts)
+        index = {v: i for i, v in enumerate(sorted(verts))}
+        want = sorted((index[u], index[w]) for u in verts for w in g.adj[u] if u < w and w in index)
+        assert labels == sorted(verts)
+        assert sub.n == len(verts) and list(sub.edges()) == want
 
 
 class TestIo:
