@@ -1,8 +1,8 @@
 """Exact metric dimension.
 
-For forests this is linear time via Slater's leaf/branch-vertex
-characterization; for arbitrary small graphs an exhaustive subset search
-serves as an independent oracle.
+For forests this is Slater's leaf/branch-vertex characterization, computed
+in O(m log L) array work for a longest leg L; for arbitrary small graphs an
+exhaustive subset search serves as an independent oracle.
 """
 
 from __future__ import annotations
@@ -53,45 +53,45 @@ class ResolvingWitness:
 
 
 def _solve(g: Graph, parts: ComponentPartition, brute_cap: int) -> ResolvingWitness:
-    """Metric dimension of `g` from its component partition, in one pass.
+    """Metric dimension of `g` from its component partition, in array passes.
 
-    Tree components follow Slater's rule, |L| - |K|: a walk from each leaf
-    through degree-2 vertices ends at a branch vertex (its terminal) or, on a
-    path, at the other endpoint.  The witness keeps a path's smaller endpoint
-    and, elsewhere, every leaf except the smallest-labelled one at each
-    terminal.  Non-tree components go to the exhaustive search, after all of
-    them are checked against `brute_cap`.  Isolated vertices join the
-    witness, except that with >= 2 components the largest-labelled one is
-    left out: it is the unique vertex with an all-unreachable profile.
+    Slater's rule, |L| - |K|, on the tree components: CSR slot e, the edge
+    a -> b = indices[e], steps to b's other slot if b has degree 2 in a tree,
+    and pointer doubling (O(log L) rounds for a longest leg L) takes each
+    leaf to its terminal, a branch vertex or a path's other end.  One mask
+    keeps a path's smaller end, every leaf but the smallest at each
+    terminal, the exhaustive search's witness of each non-tree component
+    (all checked against `brute_cap` first), and each isolated vertex but,
+    with >= 2 components, the largest (its profile is all unreachable).
     """
     cyclic = parts.cyclic
     non_tree = cyclic.nonzero()[0].tolist()
     for c in non_tree:
         if parts.sizes[c] > brute_cap:
             raise ComponentTooLargeError(int(parts.sizes[c]), int(parts.edge_counts[c]), brute_cap)
-    witness: list[int] = []
-    for c in non_tree:
-        sub, labels = induced_subgraph(g, (parts.component_of == c).nonzero()[0])
-        witness.extend(labels[v] for v in brute_force_beta(sub, size_cap=brute_cap).witness)
-    degrees = g.degrees
-    leaves = ((degrees == 1) & ~cyclic[parts.component_of]).nonzero()[0].tolist()
-    deg, ptr, nbr = degrees.tolist(), g.indptr.tolist(), g.indices.tolist()
-    terminals: set[int] = set()
-    for leaf in leaves:
-        prev, cur = leaf, nbr[ptr[leaf]]
-        while deg[cur] == 2:
-            a, b = nbr[ptr[cur]], nbr[ptr[cur] + 1]
-            prev, cur = cur, (b if a == prev else a)
-        if deg[cur] == 1:
-            if leaf < cur:
-                witness.append(leaf)
-        elif cur in terminals:
-            witness.append(leaf)
-        else:
-            terminals.add(cur)
-    isolated = (degrees == 0).nonzero()[0].tolist()
-    witness.extend(isolated[:-1] if len(parts.sizes) >= 2 else isolated)
-    return ResolvingWitness(len(witness), tuple(sorted(witness)))
+    ptr, nbr, deg = g.indptr, g.indices, g.degrees
+    mask = deg == 0
+    if len(parts.sizes) >= 2 and np.count_nonzero(mask):
+        mask[mask.nonzero()[0][-1]] = False
+    leaf, step = deg == 1, deg[nbr] == 2
+    if non_tree:  # a cycle's degree-2 vertices would keep the doubling from a fixed point
+        in_tree = ~cyclic[parts.component_of]
+        leaf, step = leaf & in_tree, step & in_tree[nbr]
+        for c in non_tree:
+            sub, labels = induced_subgraph(g, (parts.component_of == c).nonzero()[0])
+            mask[[labels[v] for v in brute_force_beta(sub, size_cap=brute_cap).witness]] = True
+    head = ptr[nbr]  # slot e = (a -> b) steps to b's slot that does not lead back to a
+    walk = np.where(step, head + (nbr[head] == np.arange(g.n).repeat(deg)), np.arange(len(nbr)))
+    jumped = walk[walk]
+    while np.count_nonzero(jumped != walk):
+        walk, jumped = jumped, jumped[jumped]
+    leaves = leaf.nonzero()[0]
+    term = nbr[walk[ptr[leaves]]]
+    smallest = np.full(g.n, g.n)
+    np.minimum.at(smallest, term, leaves)
+    mask[leaves] = np.where(leaf[term], leaves < term, leaves != smallest[term])
+    witness = mask.nonzero()[0].tolist()
+    return ResolvingWitness(len(witness), tuple(witness))
 
 
 def slater_tree_beta(t: Graph) -> ResolvingWitness:

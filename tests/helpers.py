@@ -1,10 +1,10 @@
 """Shared test utilities: chi-square goodness of fit, small graph builders, leg
 counts, and the reference oracles the library is checked against: the
-set-based edge check, the BFS component partition, the scalar pair-index
-decoder, tree enumeration, generic series composition, the pointed series of
-the dissymmetry theorem, the term-by-term series for C(c), the mobile series'
-partial sums, a finite-difference stencil for rho, and a CSV reader for
-`mdim mc` output."""
+per-leaf Slater walk, the set-based edge check, the BFS component partition,
+the scalar pair-index decoder, tree enumeration, generic series composition,
+the pointed series of the dissymmetry theorem, the term-by-term series for
+C(c), the mobile series' partial sums, a finite-difference stencil for rho,
+and a CSV reader for `mdim mc` output."""
 
 from __future__ import annotations
 
@@ -19,7 +19,8 @@ from scipy.stats import chi2
 
 from mdim.asymptotics import _c_closed, solve_rho
 from mdim.generators import prufer_decode
-from mdim.graph import ComponentKind, Graph, GraphError
+from mdim.graph import ComponentKind, ComponentPartition, Graph, GraphError, induced_subgraph
+from mdim.metric_dimension import ComponentTooLargeError, ResolvingWitness, brute_force_beta
 from mdim.series import SeriesSystem, TruncatedSeries, UVPoly, series_system, x_times
 
 
@@ -66,6 +67,40 @@ def leg_counts(t: Graph) -> dict[int, int]:
                 prev, cur = cur, (b if a == prev else a)
             legs[v] += t.degree(cur) == 1
     return legs
+
+
+def slater_walk_witness(g: Graph, parts: ComponentPartition, brute_cap: int) -> ResolvingWitness:
+    """`_solve` by walking from each leaf, one vertex at a time, through
+    degree-2 vertices to its terminal, and sorting the witness labels in
+    Python: the oracle for the solver's pointer doubling over CSR slots."""
+    cyclic = parts.cyclic
+    non_tree = cyclic.nonzero()[0].tolist()
+    for c in non_tree:
+        if parts.sizes[c] > brute_cap:
+            raise ComponentTooLargeError(int(parts.sizes[c]), int(parts.edge_counts[c]), brute_cap)
+    witness: list[int] = []
+    for c in non_tree:
+        sub, labels = induced_subgraph(g, (parts.component_of == c).nonzero()[0])
+        witness.extend(labels[v] for v in brute_force_beta(sub, size_cap=brute_cap).witness)
+    degrees = g.degrees
+    leaves = ((degrees == 1) & ~cyclic[parts.component_of]).nonzero()[0].tolist()
+    deg, ptr, nbr = degrees.tolist(), g.indptr.tolist(), g.indices.tolist()
+    terminals: set[int] = set()
+    for leaf in leaves:
+        prev, cur = leaf, nbr[ptr[leaf]]
+        while deg[cur] == 2:
+            a, b = nbr[ptr[cur]], nbr[ptr[cur] + 1]
+            prev, cur = cur, (b if a == prev else a)
+        if deg[cur] == 1:
+            if leaf < cur:
+                witness.append(leaf)
+        elif cur in terminals:
+            witness.append(leaf)
+        else:
+            terminals.add(cur)
+    isolated = (degrees == 0).nonzero()[0].tolist()
+    witness.extend(isolated[:-1] if len(parts.sizes) >= 2 else isolated)
+    return ResolvingWitness(len(witness), tuple(sorted(witness)))
 
 
 def checked_adjacency(n: int, edges) -> tuple[tuple[int, ...], ...]:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,16 +8,19 @@ from helpers import (
     disjoint_union,
     leg_counts,
     path_graph,
+    slater_walk_witness,
     star_graph,
 )
 import mdim.metric_dimension
-from mdim.graph import Graph
+from mdim.generators import SeededRng, prufer_decode, sample_gnp, sample_uniform_forest, sample_uniform_tree
+from mdim.graph import Graph, connected_components
 from mdim.metric_dimension import (
     ComponentTooLargeError,
     NotAForestError,
     NotATreeError,
     ResolvingWitness,
     SizeCapError,
+    _solve,
     brute_force_beta,
     forest_beta,
     graph_beta,
@@ -245,3 +249,95 @@ class TestGraphBeta:
         with pytest.raises(ComponentTooLargeError) as info:
             graph_beta(g)
         assert info.value.size == sizes[0]
+
+
+def solved(solver, g, brute_cap=12):
+    """The solver's witness, or the oversize component's (size, edges, cap)."""
+    try:
+        return solver(g, connected_components(g), brute_cap)
+    except ComponentTooLargeError as exc:
+        return exc.size, exc.edges, exc.cap
+
+
+def relabelled(g, perm):
+    """`g` with vertex v renamed perm[v]."""
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@st.composite
+def forest_piece(draw):
+    """A Prüfer tree, a path, a K2 or an isolated vertex."""
+    kind = draw(st.sampled_from(["prufer", "path", "k2", "isolated"]))
+    if kind == "prufer":
+        n = draw(st.integers(3, 9))
+        return prufer_decode(draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2)))
+    return path_graph({"path": draw(st.integers(3, 7)), "k2": 2, "isolated": 1}[kind])
+
+
+@st.composite
+def cycle_with_pendants(draw):
+    """A cycle of length <= 8 with up to three pendant paths, each hung from
+    any vertex already placed (so a path may hang from another path)."""
+    k = draw(st.integers(3, 8))
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    n = k
+    for _ in range(draw(st.integers(0, 3))):
+        prev = draw(st.integers(0, n - 1))
+        for _ in range(draw(st.integers(1, 3))):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    return Graph.from_edges(n, edges)
+
+
+class TestWalkOracle:
+    """The pointer-doubling solver against the per-leaf walk it replaced."""
+
+    @given(st.lists(st.one_of(forest_piece(), cycle_with_pendants()), min_size=1, max_size=6), st.data())
+    def test_unions_match_walk(self, pieces, data):
+        g = disjoint_union(*pieces)
+        g = relabelled(g, data.draw(st.permutations(range(g.n))))
+        assert solved(_solve, g) == solved(slater_walk_witness, g)
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            lambda rng: sample_gnp(10**4, 0.5 / 10**4, rng),
+            lambda rng: sample_gnp(4000, 0.9 / 4000, rng),
+            lambda rng: sample_uniform_tree(1000, rng),
+            lambda rng: sample_uniform_forest(500, rng),
+        ],
+        ids=["gnp-1e4-0.5", "gnp-4000-0.9", "tree-1000", "forest-500"],
+    )
+    def test_sampled_graphs_match_walk(self, sample):
+        for stream in range(10):
+            g = sample(SeededRng(7, stream).generator())
+            assert solved(_solve, g) == solved(slater_walk_witness, g), stream
+
+    def test_spider_with_one_long_leg(self):
+        # the doubling needs about log2(2e5) = 18 rounds, a lockstep walk 2e5
+        g = spider([3, 200_000, 1, 2])
+        assert solved(_solve, g) == solved(slater_walk_witness, g) == ResolvingWitness(3, (200_003, 200_004, 200_006))
+
+    def test_long_paths(self):
+        # one path in decreasing labels, one in shuffled labels; the smaller end is kept
+        n = 100_000
+        for along in (np.arange(n)[::-1], np.random.default_rng(0).permutation(n)):
+            g = Graph.from_edges(n, np.stack((along[:-1], along[1:]), axis=1))
+            expected = ResolvingWitness(1, (int(min(along[0], along[-1])),))
+            assert solved(_solve, g) == solved(slater_walk_witness, g) == expected
+
+    def test_pure_cycle_beside_tree(self):
+        # every vertex of C7 has degree 2: the doubling must stop on them
+        g = disjoint_union(cycle_graph(7), spider([2, 1, 3]), path_graph(3))
+        assert solved(_solve, g) == solved(slater_walk_witness, g)
+        assert _solve(g, connected_components(g), 12).beta == 2 + 2 + 1
+
+    def test_caterpillar_with_degree_three_spine(self):
+        # spine 0..k-1; the ends carry two leaves, the inner vertices one
+        k = 50
+        edges = [(i, i + 1) for i in range(k - 1)]
+        hangs = [0, 0, *range(1, k - 1), k - 1, k - 1]
+        edges += [(v, k + j) for j, v in enumerate(hangs)]
+        g = Graph.from_edges(k + len(hangs), edges)
+        assert set(g.degrees[:k].tolist()) == {3}
+        assert solved(_solve, g) == solved(slater_walk_witness, g) == ResolvingWitness(2, (k + 1, k + len(hangs) - 1))
