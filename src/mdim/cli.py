@@ -33,7 +33,7 @@ def cmd_brute(args) -> int:
     with open(args.graph) as fh:
         text = fh.read()
     n, _ = parse_header(text)
-    if n > args.cap:  # before parse_graph allocates one list per vertex
+    if n > args.cap:  # before parse_graph allocates CSR arrays of n + 1 int64 entries
         raise SizeCapError(f"n={n} exceeds size cap {args.cap}")
     _print_witness(brute_force_beta(parse_graph(text), size_cap=args.cap))
     return 0

@@ -2,7 +2,8 @@
 
 Replicate i always uses RNG stream i, and results are reduced in replicate
 order, so output is byte-identical for a given config no matter how many
-worker processes run (cap with the MDIM_WORKERS environment variable).
+worker processes run (set with the MDIM_WORKERS environment variable,
+at most the CPU count).
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def _replicate_beta(cfg: ExperimentConfig, index: int) -> int | None:
 def _worker_count(replicates: int) -> int:
     cap = os.environ.get("MDIM_WORKERS")
     workers = int(cap) if cap else 1
-    return max(1, min(workers, replicates))
+    return max(1, min(workers, replicates, os.cpu_count() or 1))
 
 
 def predicted_constants(cfg: ExperimentConfig) -> dict[str, float]:

@@ -180,7 +180,6 @@ def sample_uniform_forest(n: int, rng: np.random.Generator) -> Graph:
         anchor = available[0]
         rest = available[1:]
         if k == 1:
-            members = [anchor]
             available = rest
         else:
             picks = sorted(rng.choice(m - 1, size=k - 1, replace=False).tolist())

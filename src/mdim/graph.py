@@ -22,7 +22,7 @@ class GraphError(ValueError):
 
 
 # Distance between vertices in different components: never equal to an int,
-# and hashable, so distance profiles can be dict/set keys.
+# and hashable, so distance vectors can be dict/set keys.
 UNREACHABLE = None
 
 
@@ -138,26 +138,6 @@ def bfs_distances(g: Graph, source: int) -> list:
     return dist
 
 
-@dataclass(frozen=True)
-class DistanceProfile:
-    """Per-vertex vectors of hop distances to an ordered landmark list."""
-
-    landmarks: tuple[int, ...]
-    rows: tuple[tuple, ...]
-
-
-def distance_profile(g: Graph, landmarks: Iterable[int]) -> DistanceProfile:
-    marks = tuple(landmarks)
-    if len(set(marks)) != len(marks):
-        raise GraphError(f"duplicate landmark in {marks}")
-    for r in marks:
-        if not 0 <= r < g.n:
-            raise GraphError(f"landmark {r} out of range for n={g.n}")
-    columns = [bfs_distances(g, r) for r in marks]
-    rows = tuple(tuple(col[v] for col in columns) for v in range(g.n))
-    return DistanceProfile(marks, rows)
-
-
 class ComponentKind(Enum):
     ISOLATED_VERTEX = "isolated-vertex"
     PATH = "path"
@@ -174,7 +154,7 @@ class ComponentPartition:
 
     The arrays are per vertex (`component_of`) and per component (`sizes`,
     `edge_counts`, and `branched`: has a vertex of degree > 2); the tuple
-    views `assignment`, `components` and `kinds` are derived on first read.
+    views `components` and `kinds` are derived on first read.
     """
 
     component_of: np.ndarray
@@ -186,10 +166,6 @@ class ComponentPartition:
     def cyclic(self) -> np.ndarray:
         """Per component: True when it has a cycle (as many edges as vertices, or more)."""
         return self.edge_counts >= self.sizes
-
-    @cached_property
-    def assignment(self) -> tuple[int, ...]:
-        return tuple(self.component_of.tolist())
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -293,7 +269,7 @@ def parse_header(text: str) -> tuple[int, int]:
     """The counts (n, m) from the header line of edge-list text.
 
     Builds no graph, so a caller can bound n before `parse_graph` allocates
-    one adjacency list per vertex.
+    its CSR arrays of n + 1 int64 entries (`indptr` alone is 8 MB at n = 10**6).
     """
     return _header(_content_lines(text))
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .graph import (
     GraphError,
     bfs_distances,
     connected_components,
-    distance_profile,
     induced_subgraph,
 )
 
@@ -62,7 +60,7 @@ def _solve(g: Graph, parts: ComponentPartition, brute_cap: int) -> ResolvingWitn
     keeps a path's smaller end, every leaf but the smallest at each
     terminal, the exhaustive search's witness of each non-tree component
     (all checked against `brute_cap` first), and each isolated vertex but,
-    with >= 2 components, the largest (its profile is all unreachable).
+    with >= 2 components, the largest (its distance vector is all unreachable).
     """
     cyclic = parts.cyclic
     non_tree = cyclic.nonzero()[0].tolist()
@@ -129,11 +127,6 @@ def graph_beta(g: Graph, brute_cap: int = 12) -> ResolvingWitness:
     if g.n == 0:
         raise GraphError("empty graph")
     return _solve(g, connected_components(g), brute_cap)
-
-
-def is_resolving(g: Graph, landmarks: Iterable[int]) -> bool:
-    """True iff all n distance vectors to `landmarks` are pairwise distinct."""
-    return len(set(distance_profile(g, landmarks).rows)) == g.n
 
 
 def brute_force_beta(g: Graph, size_cap: int = 12) -> ResolvingWitness:

@@ -1,10 +1,10 @@
 """Shared test utilities: chi-square goodness of fit, small graph builders, leg
 counts, and the reference oracles the library is checked against: the
-per-leaf Slater walk, the set-based edge check, the BFS component partition,
-the scalar pair-index decoder, tree enumeration, generic series composition,
-the pointed series of the dissymmetry theorem, the term-by-term series for
-C(c), the mobile series' partial sums, a finite-difference stencil for rho,
-and a CSV reader for `mdim mc` output."""
+resolving-set check, the per-leaf Slater walk, the set-based edge check, the
+BFS component partition, the scalar pair-index decoder, tree enumeration,
+generic series composition, the pointed series of the dissymmetry theorem,
+the term-by-term series for C(c), the mobile series' partial sums, a
+finite-difference stencil for rho, and a CSV reader for `mdim mc` output."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from scipy.stats import chi2
 
 from mdim.asymptotics import _c_closed, solve_rho
 from mdim.generators import prufer_decode
-from mdim.graph import ComponentKind, ComponentPartition, Graph, GraphError, induced_subgraph
+from mdim.graph import ComponentKind, ComponentPartition, Graph, GraphError, bfs_distances, induced_subgraph
 from mdim.metric_dimension import ComponentTooLargeError, ResolvingWitness, brute_force_beta
 from mdim.series import SeriesSystem, TruncatedSeries, UVPoly, series_system, x_times
 
@@ -101,6 +101,13 @@ def slater_walk_witness(g: Graph, parts: ComponentPartition, brute_cap: int) -> 
     isolated = (degrees == 0).nonzero()[0].tolist()
     witness.extend(isolated[:-1] if len(parts.sizes) >= 2 else isolated)
     return ResolvingWitness(len(witness), tuple(sorted(witness)))
+
+
+def is_resolving(g: Graph, landmarks) -> bool:
+    """True iff the n vectors of hop distances to `landmarks` are pairwise
+    distinct. With no landmarks every vector is empty, so only n <= 1 holds."""
+    columns = [bfs_distances(g, r) for r in landmarks]
+    return len({tuple(col[v] for col in columns) for v in range(g.n)}) == g.n
 
 
 def checked_adjacency(n: int, edges) -> tuple[tuple[int, ...], ...]:

@@ -38,7 +38,8 @@ class TestExactAndBrute:
         assert "exceeds size cap" in capsys.readouterr().err
 
     def test_brute_cap_checked_before_allocation(self, tmp_path, capsys):
-        # building the graph would take one adjacency list per declared vertex
+        # building the graph would take CSR arrays of n + 1 int64 entries:
+        # `indptr` alone is 8 MB at n = 10**6
         import tracemalloc
 
         path = tmp_path / "big.txt"
@@ -424,6 +425,10 @@ class TestDependencies:
             "print(rc, 'scipy.sparse.csgraph' in sys.modules)"
         )
         assert fresh_python_stdout(code) == "0 False\n"
+
+    def test_package_import_loads_no_submodule(self):
+        code = "import sys, mdim; print([m for m in sys.modules if m.startswith('mdim.')], 'numpy' in sys.modules)"
+        assert fresh_python_stdout(code) == "[] False\n"
 
     def test_series_commands_leave_out_numpy(self):
         # they build no graph; numpy would add about 10 MB and 60 ms to each

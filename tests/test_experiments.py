@@ -148,7 +148,8 @@ class TestDeterminism:
         b = render_csv(run_experiment(small_cfg()))
         assert a == b
 
-    def test_worker_count_does_not_change_output(self):
+    def test_worker_count_does_not_change_output(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers even on one CPU
         for cfg in (
             small_cfg(replicates=64),
             small_cfg(model="uniform-forest", n=40, replicates=32),
@@ -164,6 +165,16 @@ class TestDeterminism:
                 else:
                     os.environ["MDIM_WORKERS"] = old
             assert serial == parallel, cfg.model
+
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+        # only computes the count: no pool is started
+        from mdim.experiments import _worker_count
+
+        monkeypatch.setenv("MDIM_WORKERS", "100000")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _worker_count(100000) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(100000) == 1
 
 
 class TestEmit:

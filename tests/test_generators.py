@@ -160,7 +160,7 @@ class TestUniformForest:
         for _ in range(total):
             f = sample_uniform_forest(6, rng)
             parts = connected_components(f)
-            comp0 = parts.components[parts.assignment[0]]
+            comp0 = parts.components[parts.component_of[0]]
             counts[len(comp0)] += 1
         assert chi_square_ok(counts, probs, total)
 

@@ -15,7 +15,6 @@ from mdim.graph import (
     bfs_distances,
     check_edge_limit,
     connected_components,
-    distance_profile,
     induced_subgraph,
     parse_graph,
     parse_header,
@@ -97,6 +96,15 @@ class TestBfs:
     def test_star_from_leaf(self):
         assert bfs_distances(star_graph(3), 1) == [1, 0, 2, 2]
 
+    def test_complete_graph(self):
+        g = complete_graph(4)
+        assert bfs_distances(g, 0) == [0, 1, 1, 1]
+        assert bfs_distances(g, 1) == [1, 0, 1, 1]
+
+    def test_forest_with_unreachable(self):
+        g = Graph.from_edges(3, [(0, 1)])
+        assert bfs_distances(g, 0) == [0, 1, UNREACHABLE]
+
     def test_source_out_of_range(self):
         with pytest.raises(GraphError):
             bfs_distances(path_graph(3), 3)
@@ -108,7 +116,7 @@ class TestBfs:
             dist = bfs_distances(g, v)
             assert dist[v] == 0
             for w in range(g.n):
-                same = parts.assignment[v] == parts.assignment[w]
+                same = parts.component_of[v] == parts.component_of[w]
                 assert (dist[w] == UNREACHABLE) == (not same)
 
     @given(graphs)
@@ -121,29 +129,6 @@ class TestBfs:
                     if UNREACHABLE in (duv, dvw, duw):
                         continue
                     assert duw <= duv + dvw
-
-
-class TestDistanceProfile:
-    def test_path_single_landmark(self):
-        prof = distance_profile(path_graph(3), [0])
-        assert prof.rows == ((0,), (1,), (2,))
-
-    def test_complete_graph(self):
-        prof = distance_profile(complete_graph(4), [0, 1])
-        assert prof.rows == ((0, 1), (1, 0), (1, 1), (1, 1))
-
-    def test_forest_with_unreachable(self):
-        g = Graph.from_edges(3, [(0, 1)])
-        prof = distance_profile(g, [0])
-        assert prof.rows == ((0,), (1,), (UNREACHABLE,))
-
-    def test_duplicate_landmark_rejected(self):
-        with pytest.raises(GraphError):
-            distance_profile(path_graph(3), [0, 0])
-
-    def test_landmark_out_of_range(self):
-        with pytest.raises(GraphError):
-            distance_profile(path_graph(3), [5])
 
 
 class TestComponents:
@@ -180,7 +165,7 @@ class TestComponentsOracle:
     def assert_matches(g):
         parts = connected_components(g)
         assignment, components, kinds = bfs_partition(g)
-        assert parts.assignment == assignment
+        assert tuple(parts.component_of.tolist()) == assignment
         assert parts.components == components
         assert parts.kinds == kinds
         assert parts.sizes.tolist() == [len(c) for c in components]

@@ -6,6 +6,7 @@ from helpers import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    is_resolving,
     leg_counts,
     path_graph,
     slater_walk_witness,
@@ -24,7 +25,6 @@ from mdim.metric_dimension import (
     brute_force_beta,
     forest_beta,
     graph_beta,
-    is_resolving,
     slater_tree_beta,
 )
 
@@ -130,6 +130,10 @@ class TestIsResolving:
 
     def test_triangle_single_vertex_fails(self):
         assert not is_resolving(cycle_graph(3), [0])
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_empty_landmarks_resolve_only_up_to_one_vertex(self, n):
+        assert is_resolving(Graph.from_edges(n, []), []) == (n <= 1)
 
     @given(st.integers(min_value=1, max_value=8))
     def test_full_vertex_set(self, n):
