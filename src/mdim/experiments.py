@@ -1,19 +1,14 @@
 """Monte Carlo harness: sample graphs, compute metric dimension, summarize.
 
 Replicate i always uses RNG stream i, and results are reduced in replicate
-order, so output is byte-identical for a given config no matter how many
-worker processes run (set with the MDIM_WORKERS environment variable,
-at most the CPU count).
+order, so output is byte-identical for a given config.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy.special import ndtr
@@ -73,6 +68,8 @@ class ExperimentConfig:
                 raise ValueError("model gnp requires exactly one of c or p_exponent")
             if has_c and not 0.0 <= self.c < 1.0:  # C_closed's domain, NaN included
                 raise ValueError(f"c={self.c} outside [0, 1)")
+            if has_exp and not self.p_exponent >= 0.0:  # NaN included
+                raise ValueError(f"p_exponent={self.p_exponent} must be >= 0")
         elif has_c or has_exp:
             raise ValueError(f"model {self.model} takes neither c nor p_exponent")
 
@@ -171,12 +168,6 @@ def _replicate_beta(cfg: ExperimentConfig, index: int) -> int | None:
         return None
 
 
-def _worker_count(replicates: int) -> int:
-    cap = os.environ.get("MDIM_WORKERS")
-    workers = int(cap) if cap else 1
-    return max(1, min(workers, replicates, os.cpu_count() or 1))
-
-
 def predicted_constants(cfg: ExperimentConfig) -> dict[str, float]:
     if cfg.model in ("uniform-tree", "uniform-forest"):
         const = asymptotics.tree_constants()
@@ -189,16 +180,13 @@ def predicted_constants(cfg: ExperimentConfig) -> dict[str, float]:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all replicates (stream i for replicate i) and collect statistics."""
     cfg.validate()
+    if cfg.output:
+        open(cfg.output, "a").close()  # an unwritable output fails before any sampling
     if cfg.model == "uniform-forest":
-        forest_counts(cfg.n)  # fill the sampler's cache once; forked workers inherit it
-    workers = _worker_count(cfg.replicates)
-    if workers == 1:
-        betas = [_replicate_beta(cfg, i) for i in range(cfg.replicates)]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, cfg.replicates // (4 * workers))
-            replicate = partial(_replicate_beta, cfg)
-            betas = list(pool.map(replicate, range(cfg.replicates), chunksize=chunk))
+        # rejects n > MAX_FOREST_VERTICES before any sampling, and builds the
+        # cached count table here, where bench/child.py times it apart from sampling
+        forest_counts(cfg.n)
+    betas = [_replicate_beta(cfg, i) for i in range(cfg.replicates)]
     return ExperimentResult(cfg, betas, predicted_constants(cfg))
 
 

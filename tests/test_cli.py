@@ -393,6 +393,27 @@ class TestMonteCarlo:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("p_exponent", ["-1000", "-1", "nan"])
+    def test_mc_negative_p_exponent(self, capsys, p_exponent):
+        code = main(["mc", "--model", "gnp", "--n", "10000", "--p-exponent", p_exponent, "--replicates", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"mdim: error: p_exponent={float(p_exponent)} must be >= 0\n"
+
+    def test_mc_out_in_missing_directory(self, tmp_path, capsys, monkeypatch):
+        from mdim import experiments
+
+        def no_sample(*args):
+            raise AssertionError("replicate sampled for an unwritable --out")
+
+        monkeypatch.setattr(experiments, "sample_uniform_tree", no_sample)
+        out_file = tmp_path / "missing" / "r.csv"
+        argv = ["mc", "--model", "uniform-tree", "--n", "1000", "--replicates", "300", "--out", str(out_file)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mdim: error: [Errno 2] No such file or directory")
+        assert err.count("\n") == 1 and not out_file.parent.exists()
+
 
 def fresh_python_stdout(code):
     """stdout of `code` run by a new interpreter that imports mdim from src/."""
@@ -425,6 +446,14 @@ class TestDependencies:
             "print(rc, 'scipy.sparse.csgraph' in sys.modules)"
         )
         assert fresh_python_stdout(code) == "0 False\n"
+
+    def test_experiments_import_leaves_out_process_pools(self):
+        # replicates run serially; the pool modules cost about 4 ms and 0.4 MB
+        code = (
+            "import sys, mdim.experiments\n"
+            "print('multiprocessing' in sys.modules, 'concurrent.futures.process' in sys.modules)"
+        )
+        assert fresh_python_stdout(code) == "False False\n"
 
     def test_package_import_loads_no_submodule(self):
         code = "import sys, mdim; print([m for m in sys.modules if m.startswith('mdim.')], 'numpy' in sys.modules)"

@@ -1,5 +1,4 @@
 import math
-import os
 from collections import Counter
 from dataclasses import replace
 
@@ -50,6 +49,18 @@ class TestConfig:
         monkeypatch.setattr(mdim.experiments, "sample_gnp", no_sample)
         with pytest.raises(ValueError, match=rf"^c={c} outside \[0, 1\)$"):
             run_experiment(ExperimentConfig("gnp", 20000, 100, 7, c=c))
+
+    @pytest.mark.parametrize("p_exponent", [-1000.0, -1.0, float("nan")])
+    def test_p_exponent_below_zero(self, p_exponent, monkeypatch):
+        # n ** -p_exponent is no probability: rejected before any replicate is sampled
+        import mdim.experiments
+
+        def no_sample(*args):
+            raise AssertionError("replicate sampled with an invalid p_exponent")
+
+        monkeypatch.setattr(mdim.experiments, "sample_gnp", no_sample)
+        with pytest.raises(ValueError, match=rf"^p_exponent={p_exponent} must be >= 0$"):
+            run_experiment(ExperimentConfig("gnp", 10_000, 1, 7, p_exponent=p_exponent))
 
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="seed"):
@@ -147,34 +158,6 @@ class TestDeterminism:
         a = render_csv(run_experiment(small_cfg()))
         b = render_csv(run_experiment(small_cfg()))
         assert a == b
-
-    def test_worker_count_does_not_change_output(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers even on one CPU
-        for cfg in (
-            small_cfg(replicates=64),
-            small_cfg(model="uniform-forest", n=40, replicates=32),
-        ):
-            serial = render_csv(run_experiment(cfg))
-            old = os.environ.get("MDIM_WORKERS")
-            os.environ["MDIM_WORKERS"] = "2"
-            try:
-                parallel = render_csv(run_experiment(cfg))
-            finally:
-                if old is None:
-                    del os.environ["MDIM_WORKERS"]
-                else:
-                    os.environ["MDIM_WORKERS"] = old
-            assert serial == parallel, cfg.model
-
-    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
-        # only computes the count: no pool is started
-        from mdim.experiments import _worker_count
-
-        monkeypatch.setenv("MDIM_WORKERS", "100000")
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert _worker_count(100000) == 2
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _worker_count(100000) == 1
 
 
 class TestEmit:
