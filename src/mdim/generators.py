@@ -8,6 +8,7 @@ from (seed, stream=i) alone.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -43,43 +44,48 @@ def _randbelow(rng: np.random.Generator, bound: int) -> int:
     excess = words * 64 - bits
     while True:
         r = 0
-        for w in rng.integers(0, 2**64, size=words, dtype=np.uint64):
-            r = (r << 64) | int(w)
+        # the same words rng.integers(0, 2**64, size=words, dtype=np.uint64) draws
+        for w in rng.bit_generator.random_raw(words).tolist():
+            r = (r << 64) | w
         r >>= excess
         if r < bound:
             return r
 
 
-def _prufer_edges(seq: list[int] | tuple[int, ...]) -> list[tuple[int, int]]:
-    """Edges of the labelled tree on n = len(seq) + 2 vertices with Pruefer sequence `seq`."""
-    n = len(seq) + 2
-    deg = [1] * n
-    for x in seq:
-        if not 0 <= x < n:
-            raise ValueError(f"sequence entry {x} out of range for n={n}")
-        deg[x] += 1
-    edges = []
+def _prufer_edges(seq: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The (n-1, 2) int64 edges of the labelled tree on n = len(seq) + 2 vertices
+    with Pruefer sequence `seq`: the leaf removed at each step, joined to the
+    sequence entry of that step, and the last leaf joined to n-1."""
+    arr = np.asarray(seq)
+    n = arr.size + 2
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise ValueError(f"expected a 1-D integer sequence, got {arr.dtype} {arr.shape}")
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        bad = (arr < 0) | (arr >= n)
+        raise ValueError(f"sequence entry {arr[bad.argmax()]} out of range for n={n}")
+    edges = np.empty((n - 1, 2), dtype=np.int64)
+    edges[:-1, 1] = arr
+    edges[-1, 1] = n - 1
+    rest = np.bincount(edges[:-1, 1], minlength=n).tolist()  # occurrences not yet consumed
+    leaves = [0] * (n - 1)
     ptr = 0  # smallest vertex never yet used as the removed leaf
     leaf = -1
-    for x in seq:
+    for i, x in enumerate(arr.tolist()):
         if leaf < 0:
-            while deg[ptr] != 1:
+            while rest[ptr]:
                 ptr += 1
             leaf = ptr
             ptr += 1
-        edges.append((leaf, x))
-        deg[x] -= 1
+        leaves[i] = leaf
+        rest[x] -= 1
         # chain directly when x became a leaf below the scan pointer
-        leaf = x if deg[x] == 1 and x < ptr else -1
-    if leaf < 0:
-        while deg[ptr] != 1:
-            ptr += 1
-        leaf = ptr
-    edges.append((leaf, n - 1))
+        leaf = x if not rest[x] and x < ptr else -1
+    leaves[-1] = leaf if leaf >= 0 else ptr  # every count is now 0: ptr is a leaf
+    edges[:, 0] = leaves
     return edges
 
 
-def prufer_decode(seq: list[int] | tuple[int, ...]) -> Graph:
+def prufer_decode(seq: Sequence[int] | np.ndarray) -> Graph:
     """Decode a Pruefer sequence of length n-2 into the labelled tree on n >= 2 vertices."""
     return Graph.from_edges(len(seq) + 2, _prufer_edges(seq))
 
@@ -91,7 +97,7 @@ def sample_uniform_tree(n: int, rng: np.random.Generator) -> Graph:
     check_vertex_limit(n)
     if n == 1:
         return Graph.from_edges(1, [])
-    return prufer_decode(rng.integers(0, n, size=n - 2).tolist())
+    return prufer_decode(rng.integers(0, n, size=n - 2))
 
 
 @dataclass(frozen=True)
@@ -170,25 +176,23 @@ def sample_uniform_forest(n: int, rng: np.random.Generator) -> Graph:
     if n < 1:
         raise ValueError("n must be >= 1")
     table = forest_counts(n)
-    available = list(range(n))
-    edges: list[tuple[int, int]] = []
-    while available:
-        m = len(available)
+    available = np.arange(n)
+    parts = [np.empty((0, 2), dtype=np.int64)]
+    while available.size:
+        m = available.size
         cums = table.component_cumweights(m)
         r = _randbelow(rng, table.f[m])
         k = m - bisect_right(cums, r)
-        anchor = available[0]
-        rest = available[1:]
         if k == 1:
-            available = rest
+            available = available[1:]
         else:
-            picks = sorted(rng.choice(m - 1, size=k - 1, replace=False).tolist())
-            members = [anchor] + [rest[i] for i in picks]
-            chosen = set(picks)
-            available = [v for i, v in enumerate(rest) if i not in chosen]
-            seq = rng.integers(0, k, size=k - 2).tolist()
-            edges.extend((members[a], members[b]) for a, b in _prufer_edges(seq))
-    return Graph.from_edges(n, edges)
+            taken = np.zeros(m, dtype=bool)
+            taken[0] = True  # the anchor, then k-1 distinct others
+            taken[rng.choice(m - 1, size=k - 1, replace=False) + 1] = True
+            members = available[taken]
+            available = available[~taken]
+            parts.append(members[_prufer_edges(rng.integers(0, k, size=k - 2))])
+    return Graph.from_edges(n, np.concatenate(parts))
 
 
 def _pairs_from_indices(idx: np.ndarray, n: int, total: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Shared test utilities: chi-square goodness of fit, small graph builders, leg
 counts, and the reference oracles the library is checked against: the
 resolving-set check, the per-leaf Slater walk, the set-based edge check, the
-BFS component partition, the scalar pair-index decoder, tree enumeration,
+BFS component partition, the scalar pair-index decoder, the tuple-list
+Pruefer decoder, the word-by-word big-integer draw, tree enumeration,
 generic series composition, the pointed series of the dissymmetry theorem,
 the term-by-term series for C(c), the mobile series' partial sums, a
 finite-difference stencil for rho, and a CSV reader for `mdim mc` output."""
@@ -15,6 +16,7 @@ from math import factorial, isqrt
 from typing import Iterator
 
 import mpmath
+import numpy as np
 from scipy.stats import chi2
 
 from mdim.asymptotics import _c_closed, solve_rho
@@ -175,6 +177,50 @@ def pair_from_index(idx: int, n: int, total: int) -> tuple[int, int]:
     i = n - 2 - t
     j = idx - i * (2 * n - i - 1) // 2 + i + 1
     return i, j
+
+
+def prufer_edges_walk(seq) -> list[tuple[int, int]]:
+    """Edges of the labelled tree with Pruefer sequence `seq`, one (leaf, entry)
+    tuple per step from a degree count: the oracle for the edge array of
+    `_prufer_edges`."""
+    n = len(seq) + 2
+    deg = [1] * n
+    for x in seq:
+        if not 0 <= x < n:
+            raise ValueError(f"sequence entry {x} out of range for n={n}")
+        deg[x] += 1
+    edges = []
+    ptr = 0  # smallest vertex never yet used as the removed leaf
+    leaf = -1
+    for x in seq:
+        if leaf < 0:
+            while deg[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+            ptr += 1
+        edges.append((leaf, x))
+        deg[x] -= 1
+        leaf = x if deg[x] == 1 and x < ptr else -1
+    if leaf < 0:
+        while deg[ptr] != 1:
+            ptr += 1
+        leaf = ptr
+    edges.append((leaf, n - 1))
+    return edges
+
+
+def randbelow_words(rng: np.random.Generator, bound: int) -> int:
+    """Uniform integer in [0, bound) from 64-bit words drawn by `rng.integers`,
+    rejecting draws >= bound: the oracle for `_randbelow`'s raw words."""
+    bits = bound.bit_length()
+    words = (bits + 63) // 64
+    while True:
+        r = 0
+        for w in rng.integers(0, 2**64, size=words, dtype=np.uint64):
+            r = (r << 64) | int(w)
+        r >>= words * 64 - bits
+        if r < bound:
+            return r
 
 
 def chi_square_ok(observed: dict, probs: dict, total: int, alpha: float = 0.01) -> bool:

@@ -153,6 +153,18 @@ class TestRunExperiment:
         assert not check_tolerances(res)
 
 
+class TestTolerances:
+    @pytest.mark.parametrize(
+        "replicates,message",
+        [(150, "zero variance"), (100, "zero variance"), (99, "too few replicates for normality diagnostics")],
+    )
+    def test_normality_diagnostics_missing(self, replicates, message):
+        # every tree on one vertex has beta = 1, so the sample variance is 0
+        failures = check_tolerances(run_experiment(small_cfg(n=1, replicates=replicates)))
+        assert len(failures) == 3  # mean/n, variance/n, then normality
+        assert failures[-1] == message
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self):
         a = render_csv(run_experiment(small_cfg()))

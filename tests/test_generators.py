@@ -4,11 +4,20 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import chi_square_ok, enumerate_trees, forest_counts_recurrence, pair_from_index
+from helpers import (
+    chi_square_ok,
+    enumerate_trees,
+    forest_counts_recurrence,
+    pair_from_index,
+    prufer_edges_walk,
+    randbelow_words,
+)
 from mdim.generators import (
     ForestCountTable,
     SeededRng,
     _pairs_from_indices,
+    _prufer_edges,
+    _randbelow,
     forest_counts,
     prufer_decode,
     sample_gnp,
@@ -40,6 +49,40 @@ class TestPruferDecode:
         with pytest.raises(ValueError):
             prufer_decode([5])
 
+    @pytest.mark.parametrize("seq,first", [([1, 7, -1, 9], 7), ([0, -3, 9, 2], -3), ([2, 0, 5], 5)])
+    def test_names_first_out_of_range_entry(self, seq, first):
+        with pytest.raises(ValueError, match=f"sequence entry {first} out of range for n={len(seq) + 2}"):
+            prufer_decode(seq)
+        with pytest.raises(ValueError, match=f"sequence entry {first} out of range"):
+            prufer_decode(np.array(seq, dtype=np.int64))
+
+    @pytest.mark.parametrize("seq", [[0.5], [1.0, 2.0], np.array([0.5]), ["1"], [[0, 1]]])
+    def test_rejects_non_integer_entries(self, seq):
+        with pytest.raises(ValueError, match="1-D integer sequence"):
+            prufer_decode(seq)
+
+    def test_unsigned_entries(self):
+        seq = np.array([3, 0, 3], dtype=np.uint64)
+        assert _prufer_edges(seq).tolist() == [list(e) for e in prufer_edges_walk([3, 0, 3])]
+        with pytest.raises(ValueError, match="sequence entry 5 out of range"):
+            prufer_decode(np.array([5, 2**64 - 1], dtype=np.uint64))
+
+    def test_edges_match_walk_exhaustive(self):
+        from itertools import product
+
+        for n in range(2, 8):
+            for seq in product(range(n), repeat=n - 2):
+                edges = _prufer_edges(seq)
+                assert edges.dtype == np.int64 and edges.shape == (n - 1, 2)
+                assert edges.tolist() == [list(e) for e in prufer_edges_walk(seq)], seq
+
+    @pytest.mark.parametrize("n", [8, 100, 1000, 5000])
+    def test_edges_match_walk_random(self, n):
+        rng = SeededRng(31, n).generator()
+        for _ in range(200 if n <= 100 else 10):
+            seq = rng.integers(0, n, size=n - 2)
+            assert _prufer_edges(seq).tolist() == [list(e) for e in prufer_edges_walk(seq.tolist())]
+
     def test_decodes_are_trees(self):
         for n in (5, 6, 7):
             rng = SeededRng(99, n).generator()
@@ -47,6 +90,28 @@ class TestPruferDecode:
             t = prufer_decode(seq)
             assert t.n == n and t.edge_count == n - 1
             assert len(connected_components(t).components) == 1
+
+
+class TestRandbelow:
+    @pytest.mark.parametrize("words", [1, 2, 3, 4])
+    def test_matches_word_loop(self, words):
+        # bounds just above a power of two reject about half the draws
+        for bound in (2 ** (64 * words - 1) + 1, 2 ** (64 * words) - 1, 3 ** (40 * words)):
+            a, b = SeededRng(5, words).generator(), SeededRng(5, words).generator()
+            assert [_randbelow(a, bound) for _ in range(200)] == [randbelow_words(b, bound) for _ in range(200)]
+            assert a.integers(0, 1000, size=5).tolist() == b.integers(0, 1000, size=5).tolist()
+            assert a.choice(50, size=5, replace=False).tolist() == b.choice(50, size=5, replace=False).tolist()
+
+    def test_forest_count_bounds(self):
+        table = forest_counts(300)
+        a, b = SeededRng(6, 0).generator(), SeededRng(6, 0).generator()
+        for m in (1, 2, 10, 100, 300):
+            assert _randbelow(a, table.f[m]) == randbelow_words(b, table.f[m])
+        assert a.integers(0, 2**40) == b.integers(0, 2**40)
+
+    def test_bound_must_be_positive(self):
+        with pytest.raises(ValueError):
+            _randbelow(SeededRng(0).generator(), 0)
 
 
 class TestEnumerateTrees:
