@@ -92,7 +92,8 @@ class Graph:
         # as unsigned, a negative id wraps past n too
         if np.count_nonzero(arr.view(np.uint64) >= n) or np.count_nonzero(keys[1:] == keys[:-1]):
             _raise_first_offending(n, pairs, u, v)
-        indptr = keys.searchsorted(np.arange(n + 1) * n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(np.concatenate((u, v)), minlength=n), out=indptr[1:])
         indices = keys % n
         indptr.flags.writeable = indices.flags.writeable = False
         return cls(n, indptr, indices)

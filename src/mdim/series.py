@@ -1,4 +1,4 @@
-"""Exact truncated power series over bivariate (u, v) polynomials.
+"""Exact truncated power series over two coefficient rings.
 
 The series are exponential in x: the stored coefficient of x^n is the
 labelled-count polynomial n! * [x^n], which keeps the whole pipeline in
@@ -10,10 +10,28 @@ deg_u - deg_v into the metric dimension mark.
 `series_system` is the one builder of the chain: mobiles P (implicitly
 defined), the split P = ux + U + V by whether the root touches a leaf,
 unrooted degree-2-free trees S, the edge-subdivision substitution
-T = (1-x) S(x/(1-x)), and finally forests G, built only when read.
-`mdim dist` and `mdim series --at-y` read only the mark y = u/v, so they
-build the same chain with v := 1/u (`at_y=True`): each count collapses to a
-Laurent polynomial in u alone, keyed (deg_u - deg_v, 0).
+T = (1-x) S(x/(1-x)), and finally forests G, built only when read.  The
+chain is written once; its marks u and v are parameters, and their ring
+decides how every count is held:
+
+- `UVPoly`, a dict from (deg_u, deg_v) to an int, for the bivariate chain
+  of `mdim series`.
+- `YPoly`, for the chain that `mdim dist` and `mdim series --at-y` read,
+  with u = y and v = 1/y.  A Laurent polynomial sum_k c_k y^k is one Python
+  int, its value at y = 2^B, sum_k c_k 2^(B (k - lo)), with its low exponent
+  lo (Kronecker substitution).  So +, -, * and scale are each one big-int
+  operation, and the value is exact whatever B is.  The slot width B is
+  fixed per chain by `_slot_width(order)`.
+
+Only reading the coefficients back (`terms`, `y_powers`, `exact_div`) needs
+every |c_k| < 2^(B-1), so that B-bit slots hold them without carries.  Each
+`YPoly` therefore carries an upper bound on its l1 norm sum_k |c_k|:
+products multiply bounds, sums add them, `scale` multiplies by |s| and
+`exact_div` divides.  A decode raises AssertionError unless the bound is
+below 2^(B-1), so a too-narrow slot fails loudly and never gives a wrong
+coefficient.  `_conv` decodes each count it returns once and resets its
+bound to the exact l1 norm, which keeps the bounds within a few bits of the
+true counts.
 """
 
 from __future__ import annotations
@@ -39,6 +57,14 @@ class UVPoly:
         poly = object.__new__(cls)
         poly.terms = terms
         return poly
+
+    def const(self, c: int) -> "UVPoly":
+        """The constant c in this ring."""
+        return UVPoly._raw({(0, 0): c} if c else {})
+
+    def tightened(self) -> "UVPoly":
+        """Itself: a dict has nothing to decode or bound (see `YPoly.tightened`)."""
+        return self
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -91,9 +117,6 @@ class UVPoly:
             out[k] = q
         return UVPoly._raw(out)
 
-    def to_fractions(self, den: int) -> dict[Key, Fraction]:
-        return {k: Fraction(c) / den for k, c in self.terms.items()}
-
     def y_powers(self) -> dict[int, object]:
         """Coefficients after (u, v) -> (y, 1/y): key is deg_u - deg_v."""
         out: dict[int, object] = {}
@@ -108,18 +131,129 @@ class UVPoly:
 
 
 _P_ZERO = UVPoly()
-_P_ONE = UVPoly({(0, 0): 1})
 _P_U = UVPoly({(1, 0): 1})
 _P_V = UVPoly({(0, 1): 1})
-_P_INV_U = UVPoly({(-1, 0): 1})  # v := 1/u, the y-collapse (a, b) -> (a - b, 0)
+
+
+class YPoly:
+    """Laurent polynomial in y with integer coefficients, packed into one int.
+
+    `val` is sum_k c_k 2^(width (k - lo)); `bound` is at least sum_k |c_k|.
+    Both operands of a ring operation must share `width`.
+    """
+
+    __slots__ = ("val", "lo", "bound", "width")
+
+    def __init__(self, powers: dict[int, int], width: int):
+        if width < 8 or width % 8:
+            raise ValueError(f"slot width {width} is not a positive multiple of 8")
+        self.lo = min(powers, default=0)
+        self.val = sum(c << width * (k - self.lo) for k, c in powers.items())
+        self.bound = sum(abs(c) for c in powers.values())
+        self.width = width
+
+    @classmethod
+    def _raw(cls, val: int, lo: int, bound: int, width: int) -> "YPoly":
+        poly = object.__new__(cls)
+        poly.val, poly.lo, poly.bound, poly.width = val, lo, bound, width
+        return poly
+
+    def const(self, c: int) -> "YPoly":
+        """The constant c in this ring."""
+        return YPoly._raw(c, 0, abs(c), self.width)
+
+    def _slots(self) -> list[int]:
+        """The coefficients of y^lo, y^(lo+1), ... (bias trick on whole bytes)."""
+        w = self.width
+        half = 1 << w - 1
+        if self.bound >= half:
+            raise AssertionError(
+                f"coefficient bound of {self.bound.bit_length()} bits overflows a {w}-bit slot"
+            )
+        nbytes = w // 8
+        # a top coefficient c_m != 0 gives |val| >= 2^(w m - 1), so n > m slots
+        n = abs(self.val).bit_length() // w + 1
+        bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")  # half in every slot
+        raw = (self.val + bias).to_bytes(nbytes * n, "little")
+        return [int.from_bytes(raw[i : i + nbytes], "little") - half for i in range(0, len(raw), nbytes)]
+
+    def tightened(self) -> "YPoly":
+        """The same polynomial with its bound reset to its l1 norm, zero low slots dropped."""
+        cs = self._slots()
+        k = next((i for i, c in enumerate(cs) if c), 0)
+        return YPoly._raw(self.val >> self.width * k, self.lo + k, sum(map(abs, cs)), self.width)
+
+    @property
+    def terms(self) -> dict[Key, int]:
+        """Coefficients keyed (power of y, 0), as the y-collapse of `UVPoly` keys."""
+        return {(k, 0): c for k, c in self.y_powers().items()}
+
+    def y_powers(self) -> dict[int, int]:
+        return {self.lo + i: c for i, c in enumerate(self._slots()) if c}
+
+    def __bool__(self) -> bool:
+        return bool(self.val)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, YPoly) or other.width != self.width:
+            return False
+        a, b = (self, other) if self.lo <= other.lo else (other, self)
+        return a.val == b.val << a.width * (b.lo - a.lo)
+
+    def __repr__(self) -> str:
+        return f"YPoly(lo={self.lo}, val={self.val}, bound={self.bound}, width={self.width})"
+
+    def __add__(self, other: "YPoly") -> "YPoly":
+        w = self.width
+        if other.width != w:
+            raise ValueError(f"slot widths {w} and {other.width} differ")
+        if not other.val:
+            return self
+        if not self.val:
+            return other
+        d = other.lo - self.lo
+        if d >= 0:
+            return YPoly._raw(self.val + (other.val << w * d), self.lo, self.bound + other.bound, w)
+        return YPoly._raw((self.val << -w * d) + other.val, other.lo, self.bound + other.bound, w)
+
+    def __sub__(self, other: "YPoly") -> "YPoly":
+        return self + other.scale(-1)
+
+    def __mul__(self, other: "YPoly") -> "YPoly":
+        if other.width != self.width:
+            raise ValueError(f"slot widths {self.width} and {other.width} differ")
+        return YPoly._raw(self.val * other.val, self.lo + other.lo, self.bound * other.bound, self.width)
+
+    def scale(self, s: int) -> "YPoly":
+        return YPoly._raw(self.val * s, self.lo, self.bound * abs(s), self.width)
+
+    def exact_div(self, d: int) -> "YPoly":
+        """Divide integer coefficients by d; a remainder is an internal error."""
+        for i, c in enumerate(self._slots()):
+            if c % d:
+                raise AssertionError(f"coefficient {c} of y^{self.lo + i} not divisible by {d}")
+        return YPoly._raw(self.val // d, self.lo, self.bound // d, self.width)
+
+
+_Coeff = UVPoly | YPoly  # a count of x^n in either ring
+
+
+def _slot_width(order: int) -> int:
+    """Bits per y-power slot of the packed chain at this order.
+
+    floor(N log2 N) + 16 bits, rounded up to whole bytes and at least 64:
+    304 at N = 50, 680 at N = 100.  The decode guard checks every read.
+    """
+    bits = (order**order).bit_length() - 1 + 16
+    return max(64, -(-bits // 8) * 8)
 
 
 class TruncatedSeries:
-    """Series sum_{n<=order} c_n x^n / n! with UVPoly counts c_n."""
+    """Series sum_{n<=order} c_n x^n / n! with `UVPoly` or `YPoly` counts c_n."""
 
     __slots__ = ("order", "counts")
 
-    def __init__(self, order: int, counts: list[UVPoly]):
+    def __init__(self, order: int, counts: list[_Coeff]):
         if order < 0:
             raise ValueError("order must be >= 0")
         self.order = order
@@ -128,7 +262,7 @@ class TruncatedSeries:
         self.counts = counts
 
     # -- access ---------------------------------------------------------
-    def count_poly(self, n: int) -> UVPoly:
+    def count_poly(self, n: int) -> _Coeff:
         """n! * [x^n]: the labelled count polynomial."""
         if not 0 <= n <= self.order:
             raise ValueError(f"n={n} outside truncation order {self.order}")
@@ -136,7 +270,8 @@ class TruncatedSeries:
 
     def coefficient(self, n: int) -> dict[Key, Fraction]:
         """[x^n] as exact rationals keyed by (deg_u, deg_v)."""
-        return self.count_poly(n).to_fractions(factorial(n))
+        den = factorial(n)
+        return {k: Fraction(c) / den for k, c in self.count_poly(n).terms.items()}
 
     def y_coefficient(self, n: int) -> dict[int, Fraction]:
         """[x^n] after u=y, v=1/y, keyed by the power of y."""
@@ -162,7 +297,7 @@ class TruncatedSeries:
         N = min(self.order, other.order)
         return TruncatedSeries(N, [_conv(self.counts, other.counts, n) for n in range(N + 1)])
 
-    def poly_mul(self, p: UVPoly) -> "TruncatedSeries":
+    def poly_mul(self, p: _Coeff) -> "TruncatedSeries":
         return TruncatedSeries(self.order, [c * p for c in self.counts])
 
     def scale(self, s) -> "TruncatedSeries":
@@ -170,7 +305,7 @@ class TruncatedSeries:
 
     def shift_x(self) -> "TruncatedSeries":
         """Multiply by x (counts pick up the factor n from relabelling)."""
-        out = [_P_ZERO]
+        out = [self.counts[0].const(0)]
         for n in range(1, self.order + 1):
             out.append(self.counts[n - 1].scale(n))
         return TruncatedSeries(self.order, out)
@@ -183,33 +318,36 @@ class TruncatedSeries:
         if self.counts[0]:
             raise ValueError("exp requires zero constant term")
         a = self.counts[1:]
-        b = [_P_ONE]
+        b = [self.counts[0].const(1)]
         for n in range(1, self.order + 1):
             b.append(_conv(a, b, n - 1))
         return TruncatedSeries(self.order, b)
 
 
-def _conv(a: list[UVPoly], b: list[UVPoly], n: int) -> UVPoly:
+def _conv(a: list[_Coeff], b: list[_Coeff], n: int) -> _Coeff:
     """n! [x^n] of the product of two series given by their counts a and b."""
-    acc = _P_ZERO
+    acc = a[0].const(0)
     for k in range(n + 1):
         x, y = a[k], b[n - k]
         if x and y:
             acc = acc + (x * y).scale(comb(n, k))
-    return acc
+    return acc.tightened()
 
 
-def x_times(order: int, poly: UVPoly, power: int = 1) -> TruncatedSeries:
+def x_times(order: int, poly: _Coeff, power: int = 1) -> TruncatedSeries:
     """The series poly * x^power at the given truncation order."""
-    counts = [_P_ZERO] * (order + 1)
+    counts = [poly.const(0)] * (order + 1)
     if power <= order:
         counts[power] = poly.scale(factorial(power))
     return TruncatedSeries(order, counts)
 
 
-def _exp_ux(order: int, sign: int) -> TruncatedSeries:
+def _exp_ux(order: int, sign: int, u: _Coeff) -> TruncatedSeries:
     """exp(sign * ux): the x^n count is (sign u)^n."""
-    return TruncatedSeries(order, [UVPoly({(n, 0): sign**n}) for n in range(order + 1)])
+    counts, su = [u.const(1)], u.scale(sign)
+    for _ in range(order):
+        counts.append(counts[-1] * su)
+    return TruncatedSeries(order, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +355,20 @@ def _exp_ux(order: int, sign: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def _solve_P(order: int, v: UVPoly) -> tuple[TruncatedSeries, TruncatedSeries]:
+def _solve_P(order: int, u: _Coeff, v: _Coeff) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Solve the mobile equation for P (see `series_system`); return P and exp(P).
 
     Every appearance of P on the right carries a factor x, so the x^n count
     only needs counts of order < n: the fixed point is reached coefficient by
     coefficient, updating exp(P) incrementally along the way.
     """
-    a: list[UVPoly] = [_P_ZERO]  # counts of P
-    e: list[UVPoly] = [_P_ONE]  # counts of exp(P)
-    q = _exp_ux(order, -1).poly_mul(_P_ONE - v).counts
-    q[0] = _P_ONE  # q = v + (1-v) exp(-ux) = 1 + (1-v)(exp(-ux) - 1)
+    one = u.const(1)
+    a = [one.const(0)]  # counts of P
+    e = [one]  # counts of exp(P)
+    q = _exp_ux(order, -1, u).poly_mul(one - v).counts
+    q[0] = one  # q = v + (1-v) exp(-ux) = 1 + (1-v)(exp(-ux) - 1)
     # 1! (u - 1) and 2! u(1 - v)
-    base = {1: _P_U - _P_ONE, 2: (_P_U * (_P_ONE - v)).scale(2)}
+    base = {1: u - one, 2: (u * (one - v)).scale(2)}
     for n in range(1, order + 1):
         rhs = (_conv(q, e, n - 1) - a[n - 1]).scale(n)
         a.append(rhs + base[n] if n in base else rhs)
@@ -245,22 +384,23 @@ def tree_series(S: TruncatedSeries) -> TruncatedSeries:
     weights C(n-1, m-1) from (1-x)^(-m).
     """
     N = S.order
-    comp = [_P_ZERO] * (N + 1)
+    zero = S.counts[0].const(0)
+    comp = [zero] * (N + 1)
     for n in range(1, N + 1):
-        acc = _P_ZERO
+        acc = zero
         nf = factorial(n)
         for m in range(1, n + 1):
             s = S.counts[m]
             if s:
                 acc = acc + s.scale(nf // factorial(m) * comb(n - 1, m - 1))
         comp[n] = acc
-    out = [_P_ZERO] * (N + 1)
+    out = [zero] * (N + 1)
     for n in range(1, N + 1):
         out[n] = comp[n] - comp[n - 1].scale(n)
     return TruncatedSeries(N, out)
 
 
-def forest_series(T: TruncatedSeries, v: UVPoly) -> TruncatedSeries:
+def forest_series(T: TruncatedSeries, u: _Coeff, v: _Coeff) -> TruncatedSeries:
     """Forests: G = exp(T - ux) (1 + v (exp(ux) - 1)) + u(1 - v) x.
 
     Sets of non-trivial trees, times an optional non-empty set of isolated
@@ -269,11 +409,11 @@ def forest_series(T: TruncatedSeries, v: UVPoly) -> TruncatedSeries:
     counted as uv by the product, has beta = 1 like every path: the x term
     turns its count into u.
     """
-    N = T.order
-    core = (T - x_times(N, _P_U)).exp()
-    iso = _exp_ux(N, 1).poly_mul(v)
-    iso.counts[0] = _P_ONE  # 1 + v (exp(ux) - 1)
-    return core * iso + x_times(N, _P_U * (_P_ONE - v))
+    N, one = T.order, u.const(1)
+    core = (T - x_times(N, u)).exp()
+    iso = _exp_ux(N, 1, u).poly_mul(v)
+    iso.counts[0] = one  # 1 + v (exp(ux) - 1)
+    return core * iso + x_times(N, u * (one - v))
 
 
 @dataclass(frozen=True)
@@ -313,7 +453,8 @@ class SeriesSystem:
     """
 
     order: int
-    v: UVPoly  # the non-leaf mark: v, or 1/u in the y-collapsed chain
+    u: _Coeff  # the leaf mark: u, or y in the y-collapsed chain
+    v: _Coeff  # the non-leaf mark: v, or 1/y
     P: TruncatedSeries
     E: TruncatedSeries  # exp(P), a by-product of solving for P
     S: TruncatedSeries
@@ -321,28 +462,28 @@ class SeriesSystem:
 
     @cached_property
     def _exp_A(self) -> TruncatedSeries:
-        return self.E * _exp_ux(self.order, -1)
+        return self.E * _exp_ux(self.order, -1, self.u)
 
     @cached_property
     def U(self) -> TruncatedSeries:
-        ux = x_times(self.order, _P_U)
+        ux = x_times(self.order, self.u)
         return (self.E - self._exp_A - ux).shift_x().poly_mul(self.v)
 
     @cached_property
     def V(self) -> TruncatedSeries:
-        A = self.P - x_times(self.order, _P_U)
-        return (self._exp_A - x_times(self.order, _P_ONE, 0) - A).shift_x()
+        A = self.P - x_times(self.order, self.u)
+        return (self._exp_A - x_times(self.order, self.u.const(1), 0) - A).shift_x()
 
     @cached_property
     def G(self) -> TruncatedSeries:
-        return forest_series(self.T, self.v)
+        return forest_series(self.T, self.u, self.v)
 
 
-# Bivariate `series` needs the cap: its tree chain takes 0.4 s at order 45 and
-# 0.65 s at 50, and `--which G` adds 1.4 s and 2.5 s for the forest
-# exponential, growing about like order^6.5.  The y-collapsed chain of `dist`
-# and `series --at-y` takes 0.3 + 0.2 s (G) at order 50 and 5-5.5 + 2.6-3.1 s
-# at 100.
+# Bivariate `series` needs the cap: its tree chain takes 0.3-0.45 s at order 45
+# and 0.6-0.67 s at 50, and `--which G` adds 1.0-1.7 s and 1.9-2.7 s for the
+# forest exponential, growing about like order^6.5.  The packed y-collapsed
+# chain of `dist` and `series --at-y` takes 0.06-0.1 + 0.03-0.05 s (G) at
+# order 50 and 2.4-3.2 + 1.2-1.5 s at 100 (Python 3.11, 2-core x86-64 host).
 MAX_ORDER = 100
 
 
@@ -350,9 +491,10 @@ MAX_ORDER = 100
 def series_system(order: int, at_y: bool = False) -> SeriesSystem:
     """Solve the tree chain P -> S -> T at one truncation order, once per process.
 
-    With `at_y` the same chain runs with v := 1/u, the ring map
-    (u, v) -> (y, 1/y): every count keeps only keys (k, 0), k = deg_u - deg_v,
-    so `y_powers` and `beta_distribution` read it unchanged.
+    With `at_y` the same chain runs over `YPoly` with u = y and v = 1/y, the
+    ring map (u, v) -> (y, 1/y), at the slot width `_slot_width(order)`;
+    `y_powers` and `beta_distribution` read its counts as they read the
+    bivariate ones.
 
     Mobiles are rooted trees with a root half-edge and no degree-2 vertices.
     Their series P(x, u, v) is the unique zero-constant-term solution of
@@ -370,17 +512,21 @@ def series_system(order: int, at_y: bool = False) -> SeriesSystem:
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"series order {order} outside 0..{MAX_ORDER}")
-    v = _P_INV_U if at_y else _P_V
-    uv = _P_U * v
-    P, E = _solve_P(order, v)
-    ux = x_times(order, _P_U)
+    if at_y:
+        width = _slot_width(order)
+        u, v = YPoly({1: 1}, width), YPoly({-1: 1}, width)
+    else:
+        u, v = _P_U, _P_V
+    uv = u * v
+    P, E = _solve_P(order, u, v)
+    ux = x_times(order, u)
     A = P - ux
     A2 = A * A
     S = (
         ux
         + A
         - A.shift_x().shift_x().poly_mul(uv)
-        + (x_times(order, _P_U, 2) - x_times(order, _P_U * uv, 3)).half()
+        + (x_times(order, u, 2) - x_times(order, u * uv, 3)).half()
         - (A2 + A2.shift_x()).half()
     )
-    return SeriesSystem(order, v, P, E, S, tree_series(S))
+    return SeriesSystem(order, u, v, P, E, S, tree_series(S))

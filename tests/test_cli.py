@@ -232,7 +232,7 @@ class TestSeriesCommands:
     def test_tree_reads_skip_forest_series(self, capsys, monkeypatch, argv):
         import mdim.series
 
-        def no_forest(T, v):
+        def no_forest(T, u, v):
             raise AssertionError("forest series built for a read that needs only the tree chain")
 
         monkeypatch.setattr(mdim.series, "forest_series", no_forest)
@@ -245,9 +245,9 @@ class TestSeriesCommands:
 
         real, calls = mdim.series.forest_series, []
 
-        def counted(T, v):
+        def counted(T, u, v):
             calls.append(T.order)
-            return real(T, v)
+            return real(T, u, v)
 
         monkeypatch.setattr(mdim.series, "forest_series", counted)
         mdim.series.series_system.cache_clear()
@@ -265,7 +265,7 @@ class TestSeriesCommands:
         # the bound is checked before any series is built
         import mdim.series
 
-        def no_build(order):
+        def no_build(order, u, v):
             raise AssertionError("series built past the order cap")
 
         monkeypatch.setattr(mdim.series, "_solve_P", no_build)
@@ -277,7 +277,7 @@ class TestSeriesCommands:
         # rejected before any series is built, naming the n that was given
         import mdim.series
 
-        def no_build(order, v):
+        def no_build(order, u, v):
             raise AssertionError("series built for n < 1")
 
         monkeypatch.setattr(mdim.series, "_solve_P", no_build)

@@ -12,6 +12,7 @@ from mdim.metric_dimension import brute_force_beta, forest_beta, slater_tree_bet
 from mdim.series import (
     TruncatedSeries,
     UVPoly,
+    YPoly,
     beta_distribution,
     series_system,
     tree_series,
@@ -98,8 +99,8 @@ class TestMobileSplit:
         # exp(A) = exp(P) exp(-ux), against the series exponential of A = P - ux
         from mdim.series import _exp_ux, _solve_P
 
-        P, E = _solve_P(30, V)
-        assert E * _exp_ux(30, -1) == (P - x_times(30, U)).exp()
+        P, E = _solve_P(30, U, V)
+        assert E * _exp_ux(30, -1, U) == (P - x_times(30, U)).exp()
 
     def test_U_valuation(self, sys12):
         assert valuation(sys12.U) == 3
@@ -414,3 +415,70 @@ class TestSeriesAlgebra:
             [UVPoly({(0, 0): 1}), UVPoly({(0, 0): -1})] + [UVPoly()] * (N - 1),
         )
         assert one_minus_x * comp == tree_series(S)
+
+
+# Laurent polynomials in y with coefficients up to 2^20 and at most 4 terms:
+# every product fits a 64-bit slot (l1 norm below 2^44)
+laurent = st.dictionaries(st.integers(-4, 4), st.integers(-(2**20), 2**20), max_size=4)
+
+
+def _uv(powers):
+    """The same Laurent polynomial as a y-collapsed `UVPoly`, keyed (k, 0)."""
+    return UVPoly({(k, 0): c for k, c in powers.items()})
+
+
+class TestPackedRing:
+    @given(laurent, laurent, st.integers(-50, 50))
+    def test_matches_uvpoly(self, a, b, s):
+        pa, pb, ua, ub = YPoly(a, 64), YPoly(b, 64), _uv(a), _uv(b)
+        pairs = [
+            (pa, ua),
+            (pa + pb, ua + ub),
+            (pa - pb, ua - ub),
+            (pa * pb, ua * ub),
+            (pa.scale(s), ua.scale(s)),
+            ((pa * pb).scale(6).exact_div(3), (ua * ub).scale(2)),
+            (pa - pa, ua - ua),
+            ((pa + pb) - pb, ua),
+        ]
+        for packed, oracle in pairs:
+            assert packed.terms == oracle.terms
+            assert packed.y_powers() == oracle.y_powers()
+            assert bool(packed) == bool(oracle)
+        assert (pa == pb) == (ua == ub)
+        assert (pa + pb) - pb == pa  # equal across different low exponents
+        assert pa - pa == pa.const(0) and not pa - pa
+
+    def test_decode_guard_is_live(self):
+        # a coefficient of 2^63 wraps to -2^63 in a 64-bit slot; the bound
+        # stops the decode before it can return that
+        big = YPoly({-1: 2**63, 2: 1}, 64)
+        with pytest.raises(AssertionError):
+            big.y_powers()
+        with pytest.raises(AssertionError):
+            big.terms
+        with pytest.raises(AssertionError):
+            big.exact_div(1)
+        # the product's bound is propagated: (2^32 + 1)^2 > 2^63
+        wide = YPoly({0: 2**32, 1: 1}, 64)
+        assert wide.y_powers() == {0: 2**32, 1: 1}
+        with pytest.raises(AssertionError):
+            (wide * wide).y_powers()
+        assert YPoly({-1: 2**63, 2: 1}, 128).y_powers() == {-1: 2**63, 2: 1}
+
+    def test_exact_div_keeps_remainder_check(self):
+        assert YPoly({1: 6, -2: -4}, 64).exact_div(2) == YPoly({1: 3, -2: -2}, 64)
+        with pytest.raises(AssertionError):
+            YPoly({1: 6, -2: 3}, 64).exact_div(2)
+
+    @pytest.mark.parametrize("order", [*range(31), 60])
+    def test_chain_decodes_within_its_slot_width(self, order):
+        # every count of T and G decodes (the guard does not trip), and the
+        # decoded totals are Cayley's n^(n-2) and the forest counts f_n
+        from mdim.generators import forest_counts
+
+        sys_ = series_system(order, at_y=True)
+        f = forest_counts(order).f
+        for n in range(order + 1):
+            assert sum(sys_.T.count_poly(n).y_powers().values()) == (n ** (n - 2) if n >= 2 else n), n
+            assert sum(sys_.G.count_poly(n).y_powers().values()) == f[n], n
