@@ -4,8 +4,8 @@ golden hashes of the samplers' exact output and of the exact series output.
 A change to any witness a solver returns, not only to beta, fails here.
 Each witness is written as whitespace-separated labels; beta is its length.
 The hashes pin the edge sets themselves, so a sampler change that keeps
-every beta still fails, and they pin `mdim series`, `mdim dist` and one
-`mdim mc` run byte for byte.
+every beta still fails, and they pin `mdim series`, `mdim dist` and
+`mdim mc` runs byte for byte, the normality statistics among them.
 """
 
 import contextlib
@@ -313,6 +313,32 @@ MC_UNIFORM_SHA256 = {
     ("uniform-forest", 500): "0a1eec30e9e6943ac6117ae3fa70dc46411532c1a34e94c942b3e3c2db669545",
 }
 
+# The runs above have fewer than 100 included replicates, so they print no
+# normality statistics. These pin ks_statistic, skewness and excess_kurtosis:
+# sha256 of the stdout of `mdim mc --model uniform-tree --n 100 --replicates 300
+# --seed S`, seeds 0-9. Phi computed as 0.5 * erfc(-z / sqrt(2)) instead of
+# Cephes' ndtr changes the printed ks_statistic at seeds 1, 3 and 9, and in
+# the gnp run of MC_KS_SHA256.
+MC_KS_TREE_SHA256 = (
+    "b1be542eeb596af2e20a1c9f8a101530a6b0568e2e43210bae1ef758004f31da",
+    "11d1af5895b235ea8183852dc5b688fab2a215725df18d7b76ffc6c36480f8af",
+    "9642a47cba180027624a0ab6e7edc999ff74297d259e1f807c0c5f6b01de3a56",
+    "38d47dfaf755d5ac47237644867c867de29ee3dffed86aa8e1f76734db5e8f96",
+    "3ebdeacaf6e6eef95766930841a6f42f207340efec4c114c2c992c3a7bb9f1b5",
+    "c25d0b14579f5ffaf4b75fe21e2aa999a690f54be0b6dce294fea456fda23aa1",
+    "b818f1f36adaf124dcf83bfa131c3d152c42f3c3b9e788139d79cd85fa67115c",
+    "725f8f07f3378163f74704cb5e6024617bd2f35326df28fc2b356a0fb8dec307",
+    "4748e75743c91a0129d1f421bf942755f0dbb87fbb9e99ad3ee9455b154f0207",
+    "5478226edaa3b826f28e16f0ae62c1a1d4df69a27a2f0b0e563a62b9cb317e50",
+)
+
+# sha256 of the stdout of `mdim mc ... --replicates 200 --format json --seed 4`;
+# all 200 replicates are included in both
+MC_KS_SHA256 = {
+    ("uniform-forest", "--n", "100"): "fb82be3c5269d3572c7504510857931001e28127cd1699ee84ffbe299b95ff73",
+    ("gnp", "--c", "0.5", "--n", "1000"): "fff412a5f6a35700b43998219ceb11ab191e947cced3a6c0866a27674a67e644",
+}
+
 
 @pytest.mark.parametrize("seed", sorted(TREE_300))
 def test_slater_tree_beta(seed):
@@ -464,6 +490,22 @@ def test_mc_uniform_output(model, n):
     argv = ["mc", "--model", model, "--n", str(n), "--replicates", "50"]
     text = cli_stdout(*argv, "--format", "json", "--seed", "4")
     assert hashlib.sha256(text.encode()).hexdigest() == MC_UNIFORM_SHA256[model, n]
+
+
+@pytest.mark.parametrize("seed", range(len(MC_KS_TREE_SHA256)))
+def test_mc_ks_tree_output(seed):
+    argv = ["mc", "--model", "uniform-tree", "--n", "100", "--replicates", "300"]
+    text = cli_stdout(*argv, "--seed", str(seed))
+    assert "\nks_statistic," in text
+    assert hashlib.sha256(text.encode()).hexdigest() == MC_KS_TREE_SHA256[seed]
+
+
+@pytest.mark.parametrize("args", sorted(MC_KS_SHA256))
+def test_mc_ks_output(args):
+    argv = ["mc", "--model", *args, "--replicates", "200"]
+    text = cli_stdout(*argv, "--format", "json", "--seed", "4")
+    assert '"ks_statistic"' in text
+    assert hashlib.sha256(text.encode()).hexdigest() == MC_KS_SHA256[args]
 
 
 @pytest.mark.parametrize("model", sorted(DIST_1_TO_20_SHA256))
