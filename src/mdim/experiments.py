@@ -11,7 +11,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import asymptotics
 from .generators import (
@@ -34,7 +33,7 @@ SCHEMA = "mdim-experiment/1"
 
 
 class DegenerateSampleError(ValueError):
-    pass
+    """Too few samples, or all equal: no normality statistics."""
 
 
 @dataclass(frozen=True)
@@ -87,12 +86,61 @@ class NormalityStats:
     ks_statistic: float
 
 
+# Phi is ndtr from the Cephes Math Library (S. L. Moshier), ported with its
+# coefficients and its order of operations, so it rounds bit for bit as the
+# compiled Cephes ndtr does. With x = a/sqrt(2): erf(x) = x T(x^2)/U(x^2) for
+# |x| < 1, and for x >= 1 erfc(x) = exp(-x^2) P(x)/Q(x) below 8 and
+# exp(-x^2) R(x)/S(x) beyond, cut to 0 once x^2 > MAXLOG = ln(DBL_MAX).
+# U, Q and S are monic: their leading 1.0 is Cephes' p1evl.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = 0.70710678118654752440
+
+
+def _polevl(x: float, coeffs: tuple[float, ...]) -> float:
+    ans = coeffs[0]
+    for c in coeffs[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < 1.0:
+        erf = x * _polevl(x * x, _ERF_T) / _polevl(x * x, _ERF_U)
+        return 0.5 + 0.5 * erf
+    if z * z > _MAXLOG:
+        erfc = 0.0
+    elif z < 8.0:
+        erfc = math.exp(-z * z) * _polevl(z, _ERFC_P) / _polevl(z, _ERFC_Q)
+    else:
+        erfc = math.exp(-z * z) * _polevl(z, _ERFC_R) / _polevl(z, _ERFC_S)
+    return 1.0 - 0.5 * erfc if x > 0.0 else 0.5 * erfc
+
+
 def normality_stats(samples) -> NormalityStats:
     """Moments of the standardized sample and its KS distance to a standard normal."""
     x = np.asarray(samples, dtype=float)
     m = x.size
     if m < 100:
-        raise ValueError(f"need >= 100 samples, got {m}")
+        raise DegenerateSampleError(f"need >= 100 samples, got {m}")
     mean = x.mean()
     var = x.var(ddof=1)
     if var == 0.0:
@@ -104,7 +152,7 @@ def normality_stats(samples) -> NormalityStats:
     skew = float(m3 / m2**1.5)
     exkurt = float(m4 / (m2 * m2) - 3.0)
     zs = np.sort(z)
-    cdf = ndtr(zs)
+    cdf = np.array([_ndtr(v) for v in zs.tolist()])
     grid = np.arange(1, m + 1) / m
     ks = float(max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / m))))
     return NormalityStats(skew, exkurt, ks)
@@ -148,7 +196,7 @@ class ExperimentResult:
             out["skewness"] = stats.skewness
             out["excess_kurtosis"] = stats.excess_kurtosis
             out["ks_statistic"] = stats.ks_statistic
-        except ValueError:  # too few samples, or DegenerateSampleError
+        except DegenerateSampleError:  # fewer than 100 samples, or all equal
             pass
         for k, v in self.predicted.items():
             out[f"predicted_{k}"] = v

@@ -14,6 +14,7 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
+import numpy.random  # numpy 2 loads it lazily: load it with this module, not in the first replicate
 
 from .graph import Graph, check_edge_limit, check_vertex_limit
 

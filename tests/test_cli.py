@@ -435,17 +435,23 @@ class TestDependencies:
         code = "import sys, mdim.cli, mdim.experiments; print('mpmath' in sys.modules)"
         assert fresh_python_stdout(code) == "False\n"
 
-    def test_gnp_run_leaves_out_csgraph(self):
-        # components are labelled in numpy alone; scipy.sparse.csgraph would
-        # add about 10 MB to the peak RSS of every `mdim mc` run
+    def test_mc_runs_leave_out_scipy(self):
+        # components are labelled in numpy alone, and Phi for the KS distance
+        # is a port of Cephes' ndtr; scipy would add about 0.14 s and 18 MB
+        # to every `mdim mc` run. The uniform-tree run reaches the KS path.
         code = (
             "import contextlib, io, sys\n"
+            "import mdim.experiments\n"
             "from mdim.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    rc = main(['mc', '--model', 'gnp', '--c', '0.9', '--n', '2000', '--replicates', '3'])\n"
-            "print(rc, 'scipy.sparse.csgraph' in sys.modules)"
+            "runs = [['--model', 'uniform-tree', '--n', '100', '--replicates', '300'],\n"
+            "        ['--model', 'uniform-forest', '--n', '50', '--replicates', '20'],\n"
+            "        ['--model', 'gnp', '--c', '0.9', '--n', '2000', '--replicates', '3']]\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    rcs = [main(['mc', *argv]) for argv in runs]\n"
+            "print(rcs, 'ks_statistic,' in out.getvalue(), [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         )
-        assert fresh_python_stdout(code) == "0 False\n"
+        assert fresh_python_stdout(code) == "[0, 0, 0] True []\n"
 
     def test_experiments_import_leaves_out_process_pools(self):
         # replicates run serially; the pool modules cost about 4 ms and 0.4 MB
@@ -490,4 +496,4 @@ class TestDependencies:
                 elif isinstance(node, ast.ImportFrom) and node.level == 0:
                     imported.add(node.module.split(".")[0])
         third_party = imported - set(sys.stdlib_module_names) - {"mdim"}
-        assert third_party and third_party <= declared, third_party - declared
+        assert third_party == declared, (third_party, declared)

@@ -4,12 +4,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from helpers import chi_square_ok, parse_csv_betas
+from mdim import experiments
 from mdim.experiments import (
+    _MAXLOG,
     DegenerateSampleError,
     ExperimentConfig,
     ExperimentResult,
+    _ndtr,
     check_tolerances,
     emit,
     normality_stats,
@@ -92,7 +96,7 @@ class TestNormalityStats:
             normality_stats([5.0] * 200)
 
     def test_minimum_size(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateSampleError):
             normality_stats([1.0, 2.0] * 10)
 
     def test_detects_skewed_distribution(self):
@@ -100,6 +104,52 @@ class TestNormalityStats:
         stats = normality_stats(rng.exponential(size=50_000))
         assert stats.skewness > 1.5
         assert stats.ks_statistic > 0.05
+
+
+def ulp_walk(edge, k):
+    """The 2k + 1 doubles nearest to the positive double edge, in order."""
+    return (np.array([edge]).view(np.int64) + np.arange(-k, k + 1)).view(np.float64)
+
+
+def ndtr_inputs():
+    rng = np.random.Generator(np.random.PCG64(17))
+    tiny = np.finfo(np.float64).tiny
+    halves = [
+        np.abs(rng.standard_normal(220_000)) * 4.0,
+        rng.uniform(0.0, 45.0, 150_000),
+        10.0 ** rng.uniform(-320.0, 300.0, 20_000),  # subnormal up to huge
+        rng.uniform(0.0, tiny, 5_000),  # subnormal
+        np.array([0.0, 5e-324, tiny, 1e300, np.inf]),
+    ]
+    # each branch edge of ndtr: |x| = 1 and 8 with x = a/sqrt(2), and the
+    # underflow cut x^2 = MAXLOG, both densely and ulp by ulp
+    for edge in (math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * _MAXLOG)):
+        halves += [np.linspace(edge - 0.5, edge + 0.5, 30_000), ulp_walk(edge, 5_000)]
+    half = np.concatenate(halves)
+    return np.concatenate([half, -half, [np.nan, -np.nan]])
+
+
+class TestNdtr:
+    def test_bitwise_equal_to_scipy(self):
+        a = ndtr_inputs()
+        assert a.size >= 1_000_000
+        got = np.array([_ndtr(v) for v in a.tolist()])
+        want = ndtr(a)
+        diff = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+        assert diff.size == 0, [(a[i], got[i], want[i]) for i in diff[:5]]
+
+
+class TestSummary:
+    def test_only_degenerate_samples_go_without_normality_stats(self, monkeypatch):
+        res = run_experiment(small_cfg())
+        assert "ks_statistic" in res.summary()
+
+        def broken(samples):
+            raise ValueError("fault in Phi")
+
+        monkeypatch.setattr(experiments, "normality_stats", broken)
+        with pytest.raises(ValueError, match="fault in Phi"):
+            res.summary()
 
 
 class TestRunExperiment:
