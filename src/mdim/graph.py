@@ -60,18 +60,18 @@ def _raise_first_offending(n: int, pairs, u: np.ndarray, v: np.ndarray) -> None:
     raise GraphError(f"duplicate edge ({a},{b})")
 
 
-def _row_sources(indptr: np.ndarray) -> np.ndarray:
-    """The row (source vertex) of each entry of a CSR `indices` array."""
-    return np.arange(len(indptr) - 1).repeat(indptr[1:] - indptr[:-1])
-
-
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 in CSR form."""
+    """Simple undirected graph on vertices 0..n-1 in CSR form.
+
+    `sources` holds the row of each CSR slot: slot e is the edge
+    sources[e] -> indices[e].
+    """
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
+    sources: np.ndarray
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -94,9 +94,9 @@ class Graph:
             _raise_first_offending(n, pairs, u, v)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(np.concatenate((u, v)), minlength=n), out=indptr[1:])
-        indices = keys % n
-        indptr.flags.writeable = indices.flags.writeable = False
-        return cls(n, indptr, indices)
+        sources, indices = np.divmod(keys, max(n, 1))  # n = 0 has no keys
+        indptr.flags.writeable = indices.flags.writeable = sources.flags.writeable = False
+        return cls(n, indptr, indices, sources)
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
@@ -117,9 +117,8 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
-        src = _row_sources(self.indptr)
-        keep = src < self.indices
-        return zip(src[keep].tolist(), self.indices[keep].tolist())
+        keep = self.sources < self.indices
+        return zip(self.sources[keep].tolist(), self.indices[keep].tolist())
 
 
 def bfs_distances(g: Graph, source: int) -> list:
@@ -153,15 +152,41 @@ _KINDS = tuple(ComponentKind)  # indexed by the codes `ComponentPartition.kinds`
 class ComponentPartition:
     """Components numbered in the order of their smallest vertex.
 
-    The arrays are per vertex (`component_of`) and per component (`sizes`,
-    `edge_counts`, and `branched`: has a vertex of degree > 2); the tuple
+    Holds each vertex's smallest label (`smallest`, the minimum of its
+    component) and the component count k, which are enough for `is_forest`.
+    The array per vertex (`component_of`), the arrays per component (`sizes`,
+    `edge_counts`, and `branched`: has a vertex of degree > 2) and the tuple
     views `components` and `kinds` are derived on first read.
     """
 
-    component_of: np.ndarray
-    sizes: np.ndarray
-    edge_counts: np.ndarray
-    branched: np.ndarray
+    graph: Graph
+    smallest: np.ndarray
+    count: int
+
+    @property
+    def is_forest(self) -> bool:
+        """True when no component has a cycle, decided as k = n - m: a
+        component of s vertices has at least s - 1 edges, and exactly
+        s - 1 when it is a tree."""
+        return self.count == self.graph.n - self.graph.edge_count
+
+    @cached_property
+    def component_of(self) -> np.ndarray:
+        number = np.cumsum(self.smallest == np.arange(self.graph.n)) - 1  # read at the roots
+        return number[self.smallest]
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        return np.bincount(self.component_of, minlength=self.count)
+
+    @cached_property
+    def edge_counts(self) -> np.ndarray:
+        # every edge fills two CSR slots, both in its component
+        return np.bincount(self.component_of[self.graph.sources], minlength=self.count) // 2
+
+    @cached_property
+    def branched(self) -> np.ndarray:
+        return np.bincount(self.component_of[self.graph.degrees > 2], minlength=self.count) > 0
 
     @property
     def cyclic(self) -> np.ndarray:
@@ -207,21 +232,9 @@ def _smallest_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def connected_components(g: Graph) -> ComponentPartition:
     """Partition into components, each classified by shape."""
-    src = _row_sources(g.indptr)
-    half = src < g.indices
-    u = src[half]
-    smallest = _smallest_labels(g.n, u, g.indices[half])
-    roots = (smallest == np.arange(g.n)).nonzero()[0]
-    k = len(roots)
-    number = np.empty(g.n, dtype=np.int64)
-    number[roots] = np.arange(k)
-    component_of = number[smallest]
-    return ComponentPartition(
-        component_of,
-        np.bincount(component_of, minlength=k),
-        np.bincount(component_of[u], minlength=k),
-        np.bincount(component_of[g.degrees > 2], minlength=k) > 0,
-    )
+    half = g.sources < g.indices
+    smallest = _smallest_labels(g.n, g.sources[half], g.indices[half])
+    return ComponentPartition(g, smallest, int(np.count_nonzero(smallest == np.arange(g.n))))
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int]]:
@@ -229,7 +242,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
     verts = np.sort(np.fromiter(vertices, dtype=np.int64))
     index = np.full(g.n, -1)
     index[verts] = np.arange(len(verts))
-    src, dst = index[_row_sources(g.indptr)], index[g.indices]
+    src, dst = index[g.sources], index[g.indices]
     keep = (src >= 0) & (src < dst)
     return Graph.from_edges(len(verts), np.stack((src[keep], dst[keep]), axis=1)), verts.tolist()
 

@@ -8,6 +8,7 @@ exhaustive subset search serves as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -44,10 +45,34 @@ class ComponentTooLargeError(ValueError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ResolvingWitness:
+    """A metric dimension `beta` and a resolving set of that size, `witness`,
+    in increasing order.
+
+    `members` is that tuple, or the solver's boolean vertex mask, which
+    `witness` turns into the tuple on first read: `mdim mc` reads only `beta`.
+    """
+
     beta: int
-    witness: tuple[int, ...]
+    members: tuple[int, ...] | np.ndarray
+
+    @cached_property
+    def witness(self) -> tuple[int, ...]:
+        if isinstance(self.members, np.ndarray):
+            return tuple(self.members.nonzero()[0].tolist())
+        return self.members
+
+    def __eq__(self, other):
+        if not isinstance(other, ResolvingWitness):
+            return NotImplemented
+        return (self.beta, self.witness) == (other.beta, other.witness)
+
+    def __hash__(self) -> int:
+        return hash((self.beta, self.witness))
+
+    def __repr__(self) -> str:
+        return f"ResolvingWitness(beta={self.beta}, witness={self.witness})"
 
 
 def _solve(g: Graph, parts: ComponentPartition, brute_cap: int) -> ResolvingWitness:
@@ -61,25 +86,27 @@ def _solve(g: Graph, parts: ComponentPartition, brute_cap: int) -> ResolvingWitn
     terminal, the exhaustive search's witness of each non-tree component
     (all checked against `brute_cap` first), and each isolated vertex but,
     with >= 2 components, the largest (its distance vector is all unreachable).
+    `beta` counts the mask, and the witness tuple is built from it only when
+    read.  The per-component arrays are read only when `parts.is_forest`, the
+    test k = n - m, fails.
     """
-    cyclic = parts.cyclic
-    non_tree = cyclic.nonzero()[0].tolist()
+    non_tree = [] if parts.is_forest else parts.cyclic.nonzero()[0].tolist()
     for c in non_tree:
         if parts.sizes[c] > brute_cap:
             raise ComponentTooLargeError(int(parts.sizes[c]), int(parts.edge_counts[c]), brute_cap)
     ptr, nbr, deg = g.indptr, g.indices, g.degrees
     mask = deg == 0
-    if len(parts.sizes) >= 2 and np.count_nonzero(mask):
+    if parts.count >= 2 and np.count_nonzero(mask):
         mask[mask.nonzero()[0][-1]] = False
     leaf, step = deg == 1, deg[nbr] == 2
     if non_tree:  # a cycle's degree-2 vertices would keep the doubling from a fixed point
-        in_tree = ~cyclic[parts.component_of]
+        in_tree = ~parts.cyclic[parts.component_of]
         leaf, step = leaf & in_tree, step & in_tree[nbr]
         for c in non_tree:
             sub, labels = induced_subgraph(g, (parts.component_of == c).nonzero()[0])
             mask[[labels[v] for v in brute_force_beta(sub, size_cap=brute_cap).witness]] = True
     head = ptr[nbr]  # slot e = (a -> b) steps to b's slot that does not lead back to a
-    walk = np.where(step, head + (nbr[head] == np.arange(g.n).repeat(deg)), np.arange(len(nbr)))
+    walk = np.where(step, head + (nbr[head] == g.sources), np.arange(len(nbr)))
     jumped = walk[walk]
     while np.count_nonzero(jumped != walk):
         walk, jumped = jumped, jumped[jumped]
@@ -88,8 +115,7 @@ def _solve(g: Graph, parts: ComponentPartition, brute_cap: int) -> ResolvingWitn
     smallest = np.full(g.n, g.n)
     np.minimum.at(smallest, term, leaves)
     mask[leaves] = np.where(leaf[term], leaves < term, leaves != smallest[term])
-    witness = mask.nonzero()[0].tolist()
-    return ResolvingWitness(len(witness), tuple(witness))
+    return ResolvingWitness(int(np.count_nonzero(mask)), mask)
 
 
 def slater_tree_beta(t: Graph) -> ResolvingWitness:
@@ -100,9 +126,9 @@ def slater_tree_beta(t: Graph) -> ResolvingWitness:
     leaf attached to each important vertex.
     """
     parts = connected_components(t)
-    if len(parts.sizes) != 1:
-        raise NotATreeError(f"graph has {len(parts.sizes)} components, a tree has 1")
-    if parts.cyclic[0]:
+    if parts.count != 1:
+        raise NotATreeError(f"graph has {parts.count} components, a tree has 1")
+    if not parts.is_forest:
         raise NotATreeError("graph contains a cycle")
     return _solve(t, parts, 0)
 
@@ -112,7 +138,7 @@ def forest_beta(f: Graph) -> ResolvingWitness:
     if f.n == 0:
         raise NotAForestError("empty graph")
     parts = connected_components(f)
-    if np.count_nonzero(parts.cyclic):
+    if not parts.is_forest:
         raise NotAForestError("graph contains a cycle")
     return _solve(f, parts, 0)
 
@@ -123,6 +149,9 @@ def graph_beta(g: Graph, brute_cap: int = 12) -> ResolvingWitness:
     Tree components use Slater; non-tree components fall back to the
     exhaustive search and must have at most `brute_cap` vertices.  When
     several exceed it, the error names the one holding the smallest label.
+    A graph whose component count is n - m is a forest and goes straight to
+    Slater's rule; only one that fails that test builds per-component arrays
+    to find its non-tree components.  The witness tuple is built on first read.
     """
     if g.n == 0:
         raise GraphError("empty graph")

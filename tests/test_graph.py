@@ -165,6 +165,10 @@ class TestComponentsOracle:
     def assert_matches(g):
         parts = connected_components(g)
         assignment, components, kinds = bfs_partition(g)
+        # count and is_forest (k = n - m) first, before any derived array is read
+        assert parts.count == len(components)
+        assert parts.is_forest == (ComponentKind.NON_TREE not in kinds)
+        assert g.sources.tolist() == [v for v in range(g.n) for _ in g.adj[v]]
         assert tuple(parts.component_of.tolist()) == assignment
         assert parts.components == components
         assert parts.kinds == kinds
@@ -212,6 +216,28 @@ class TestComponentsOracle:
     def test_empty_graph(self):
         parts = self.assert_matches(Graph.from_edges(0, []))
         assert parts.components == () and len(parts.sizes) == 0
+        assert parts.count == 0 and parts.is_forest
+
+    def test_edgeless(self):
+        parts = self.assert_matches(Graph.from_edges(5, []))
+        assert parts.count == 5 and parts.is_forest
+
+    def test_triangle_and_isolated_vertices(self):
+        # k = 4 components, n - m = 6 - 3 = 3: one surplus edge, a cycle
+        g = Graph.from_edges(6, [(1, 3), (3, 5), (1, 5)])
+        parts = self.assert_matches(g)
+        assert parts.count == 4 and not parts.is_forest
+        assert parts.kinds.count(ComponentKind.NON_TREE) == 1
+
+    def test_two_trees_and_a_unicyclic_component(self):
+        # a path on 0..3, a star on 4..8, and C4 on 9..12 with a pendant 13
+        edges = [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (4, 7), (4, 8)]
+        edges += [(9, 10), (10, 11), (11, 12), (9, 12), (12, 13)]
+        for seed in range(3):
+            parts = self.assert_matches(relabelled(edges, 14, seed=seed))
+            assert parts.count == 3 and not parts.is_forest
+            forest = self.assert_matches(relabelled(edges[:7], 14, seed=seed))
+            assert forest.count == 7 and forest.is_forest
 
 
 class TestGraphConstruction:
@@ -278,6 +304,8 @@ class TestGraphConstruction:
             g.indices[0] = 3
         with pytest.raises(ValueError):
             g.indptr[1] = 0
+        with pytest.raises(ValueError):
+            g.sources[0] = 1
 
     def test_edge_limit(self):
         check_edge_limit(MAX_EDGES)

@@ -62,6 +62,15 @@ class TestDecoration:
         # leaves 1, 2, 4, 7 share the one important vertex 0
         assert slater_tree_beta(spider([1, 1, 2, 3])) == ResolvingWitness(3, (2, 4, 7))
 
+    def test_results_equal_and_hash_as_literals(self):
+        # the solver builds its witness tuple on first read; a literal holds it from the start
+        literal = ResolvingWitness(2, (2, 3))
+        for res in (slater_tree_beta(star_graph(3)), forest_beta(star_graph(3)), graph_beta(star_graph(3))):
+            assert res == literal and hash(res) == hash(literal) and {res, literal} == {literal}
+            assert repr(res) == repr(literal) == "ResolvingWitness(beta=2, witness=(2, 3))"
+        assert slater_tree_beta(star_graph(3)) != ResolvingWitness(2, (1, 3))
+        assert forest_beta(Graph.from_edges(3, [])) == ResolvingWitness(2, (0, 1))
+
     def test_not_a_tree(self):
         with pytest.raises(NotATreeError):
             slater_tree_beta(cycle_graph(4))
@@ -113,6 +122,10 @@ class TestForest:
     def test_rejects_cycles(self):
         with pytest.raises(NotAForestError):
             forest_beta(cycle_graph(3))
+        # one cycle among trees and isolated vertices: k = n - m fails by one
+        for g in (disjoint_union(cycle_graph(3), Graph.from_edges(4, [])), disjoint_union(path_graph(5), cycle_graph(4))):
+            with pytest.raises(NotAForestError, match="graph contains a cycle"):
+                forest_beta(g)
 
     def test_single_isolated_vertex(self):
         assert forest_beta(Graph.from_edges(1, [])).beta == 1
@@ -300,7 +313,12 @@ class TestWalkOracle:
     def test_unions_match_walk(self, pieces, data):
         g = disjoint_union(*pieces)
         g = relabelled(g, data.draw(st.permutations(range(g.n))))
-        assert solved(_solve, g) == solved(slater_walk_witness, g)
+        res = solved(_solve, g)
+        assert res == solved(slater_walk_witness, g)
+        if isinstance(res, ResolvingWitness):
+            # `mdim exact` hands the witness to json.dumps: a tuple of Python ints
+            assert res.beta == len(res.witness)
+            assert type(res.witness) is tuple and all(type(v) is int for v in res.witness)
 
     @pytest.mark.parametrize(
         "sample",
