@@ -152,11 +152,12 @@ _KINDS = tuple(ComponentKind)  # indexed by the codes `ComponentPartition.kinds`
 class ComponentPartition:
     """Components numbered in the order of their smallest vertex.
 
-    Holds each vertex's smallest label (`smallest`, the minimum of its
-    component) and the component count k, which are enough for `is_forest`.
-    The array per vertex (`component_of`), the arrays per component (`sizes`,
-    `edge_counts`, and `branched`: has a vertex of degree > 2) and the tuple
-    views `components` and `kinds` are derived on first read.
+    Holds the graph, each vertex's smallest label (`smallest`, the minimum
+    of its component) and the component count k (`count`); `is_forest`
+    reads only k. The per-vertex array `component_of`, the per-component
+    arrays `sizes`, `edge_counts` and `branched` (has a vertex of degree
+    > 2), and the tuple views `components` and `kinds` are derived on first
+    read.
     """
 
     graph: Graph
@@ -172,7 +173,8 @@ class ComponentPartition:
 
     @cached_property
     def component_of(self) -> np.ndarray:
-        number = np.cumsum(self.smallest == np.arange(self.graph.n)) - 1  # read at the roots
+        # at each root r: the number of roots below r, its component's number
+        number = np.cumsum(self.smallest == np.arange(self.graph.n)) - 1
         return number[self.smallest]
 
     @cached_property
