@@ -28,13 +28,11 @@ def cmd_exact(args) -> int:
 
 def cmd_brute(args) -> int:
     from .graph import parse_graph, parse_header
-    from .metric_dimension import SizeCapError, brute_force_beta
+    from .metric_dimension import brute_force_beta, check_brute_size
 
     with open(args.graph) as fh:
         text = fh.read()
-    n, _ = parse_header(text)
-    if n > args.cap:  # before parse_graph allocates CSR arrays of n + 1 int64 entries
-        raise SizeCapError(f"n={n} exceeds size cap {args.cap}")
+    check_brute_size(parse_header(text)[0], args.cap)  # before parse_graph allocates CSR arrays
     _print_witness(brute_force_beta(parse_graph(text), size_cap=args.cap))
     return 0
 
@@ -81,17 +79,10 @@ def cmd_series(args) -> int:
 
     sys_ = series_system(args.order, at_y=args.at_y)
     series = getattr(sys_, args.which)
+    key = (lambda b: f"y^{b}") if args.at_y else (lambda k: f"u^{k[0]} v^{k[1]}")
     doc = {"which": args.which, "order": args.order, "coefficients": {}}
     for n in range(args.order + 1):
-        if args.at_y:
-            terms = {
-                f"y^{b}": _frac(c) for b, c in sorted(series.y_coefficient(n).items())
-            }
-        else:
-            terms = {
-                f"u^{a} v^{b}": _frac(c)
-                for (a, b), c in sorted(series.coefficient(n).items())
-            }
+        terms = {key(k): _frac(c) for k, c in sorted(series.coefficient(n).items())}
         if terms:
             doc["coefficients"][str(n)] = terms
     print(json.dumps(doc, indent=2))
@@ -172,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("brute", help="metric dimension by exhaustive search")
     p.add_argument("--graph", required=True)
-    p.add_argument("--cap", type=int, default=12)
+    p.add_argument("--cap", type=int, default=12)  # BRUTE_CAP, without loading numpy here
     p.set_defaults(func=cmd_brute)
 
     p = sub.add_parser("sample-tree", help="uniform random labelled tree")

@@ -22,6 +22,7 @@ from .generators import (
 )
 from .graph import check_vertex_limit
 from .metric_dimension import (
+    BRUTE_CAP,
     ComponentTooLargeError,
     forest_beta,
     graph_beta,
@@ -46,7 +47,7 @@ class ExperimentConfig:
     p_exponent: float | None = None
     output: str | None = None
     format: str = "csv"
-    brute_cap: int = 12
+    brute_cap: int = BRUTE_CAP
 
     def validate(self) -> None:
         if self.model not in MODELS:

@@ -23,8 +23,12 @@ decides how every count is held:
   operation, and the value is exact whatever B is.  The slot width B is
   fixed per chain by `_slot_width(order)`.
 
-Only reading the coefficients back (`terms`, `y_powers`, `exact_div`) needs
-every |c_k| < 2^(B-1), so that B-bit slots hold them without carries.  Each
+Each ring has one read, `terms`: a dict from the ring's own exponent,
+(deg_u, deg_v) or the power of y, to its integer count.  So the y-collapse
+is decided in one place, the marks u and v that `series_system` passes.
+
+Only reading a `YPoly` back (`terms`, `exact_div`) needs every
+|c_k| < 2^(B-1), so that B-bit slots hold them without carries.  Each
 `YPoly` therefore carries an upper bound on its l1 norm sum_k |c_k|:
 products multiply bounds, sums add them, `scale` multiplies by |s| and
 `exact_div` divides.  A decode raises AssertionError unless the bound is
@@ -117,18 +121,6 @@ class UVPoly:
             out[k] = q
         return UVPoly._raw(out)
 
-    def y_powers(self) -> dict[int, object]:
-        """Coefficients after (u, v) -> (y, 1/y): key is deg_u - deg_v."""
-        out: dict[int, object] = {}
-        for (a, b), c in self.terms.items():
-            k = a - b
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return out
-
 
 _P_ZERO = UVPoly()
 _P_U = UVPoly({(1, 0): 1})
@@ -184,11 +176,8 @@ class YPoly:
         return YPoly._raw(self.val >> self.width * k, self.lo + k, sum(map(abs, cs)), self.width)
 
     @property
-    def terms(self) -> dict[Key, int]:
-        """Coefficients keyed (power of y, 0), as the y-collapse of `UVPoly` keys."""
-        return {(k, 0): c for k, c in self.y_powers().items()}
-
-    def y_powers(self) -> dict[int, int]:
+    def terms(self) -> dict[int, int]:
+        """The nonzero coefficients, keyed by the power of y."""
         return {self.lo + i: c for i, c in enumerate(self._slots()) if c}
 
     def __bool__(self) -> bool:
@@ -268,15 +257,10 @@ class TruncatedSeries:
             raise ValueError(f"n={n} outside truncation order {self.order}")
         return self.counts[n]
 
-    def coefficient(self, n: int) -> dict[Key, Fraction]:
-        """[x^n] as exact rationals keyed by (deg_u, deg_v)."""
+    def coefficient(self, n: int) -> dict[Key | int, Fraction]:
+        """[x^n] as exact rationals, keyed as the counts' `terms`."""
         den = factorial(n)
         return {k: Fraction(c) / den for k, c in self.count_poly(n).terms.items()}
-
-    def y_coefficient(self, n: int) -> dict[int, Fraction]:
-        """[x^n] after u=y, v=1/y, keyed by the power of y."""
-        den = factorial(n)
-        return {k: Fraction(c) / den for k, c in self.count_poly(n).y_powers().items()}
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -432,10 +416,13 @@ class BetaDistribution:
 
 
 def beta_distribution(series: TruncatedSeries, n: int) -> BetaDistribution:
-    """Distribution of the mark y = u/v read off the x^n coefficient."""
+    """Distribution of the mark y read off the x^n count of a y-collapsed series."""
     if not 1 <= n <= series.order:
         raise ValueError(f"n={n} outside series order {series.order}")
-    weights = series.count_poly(n).y_powers()
+    count = series.count_poly(n)
+    if not isinstance(count, YPoly):
+        raise TypeError("beta_distribution reads the y-collapsed chain, series_system(order, at_y=True)")
+    weights = count.terms
     total = sum(weights.values())
     if total <= 0:
         raise ValueError(f"empty class at size {n}")
@@ -493,8 +480,8 @@ def series_system(order: int, at_y: bool = False) -> SeriesSystem:
 
     With `at_y` the same chain runs over `YPoly` with u = y and v = 1/y, the
     ring map (u, v) -> (y, 1/y), at the slot width `_slot_width(order)`;
-    `y_powers` and `beta_distribution` read its counts as they read the
-    bivariate ones.
+    its counts' `terms` are keyed by the power of y, which `beta_distribution`
+    reads.
 
     Mobiles are rooted trees with a root half-edge and no degree-2 vertices.
     Their series P(x, u, v) is the unique zero-constant-term solution of

@@ -19,6 +19,13 @@ def system30():
 
 
 @pytest.fixture(scope="session")
+def system30_at_y():
+    from mdim.series import series_system
+
+    return series_system(30, at_y=True)
+
+
+@pytest.fixture(scope="session")
 def system45():
     from mdim.series import series_system
 

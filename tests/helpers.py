@@ -4,8 +4,9 @@ resolving-set check, the per-leaf Slater walk, the set-based edge check, the
 BFS component partition, the scalar pair-index decoder, the tuple-list
 Pruefer decoder, the word-by-word big-integer draw, tree enumeration,
 generic series composition, the pointed series of the dissymmetry theorem,
-the term-by-term series for C(c), the mobile series' partial sums, a
-finite-difference stencil for rho, and a CSV reader for `mdim mc` output."""
+the y-collapse of a bivariate count, the term-by-term series for C(c), the
+mobile series' partial sums, a finite-difference stencil for rho, and a CSV
+reader for `mdim mc` output."""
 
 from __future__ import annotations
 
@@ -300,6 +301,18 @@ def pointed_series(sys_: SeriesSystem) -> tuple[TruncatedSeries, TruncatedSeries
         + (P.exp() - one - P - (P * P).half()).shift_x().poly_mul(v)
     )
     return S_arrow, S_dot
+
+
+def y_collapse(poly: UVPoly) -> dict[int, int]:
+    """A bivariate count after (u, v) -> (y, 1/y): nonzero sums keyed by deg_u - deg_v.
+
+    The cross-check between the two chains: the y-collapsed chain's `YPoly.terms`
+    must equal this collapse of the bivariate chain's count.
+    """
+    out: dict[int, int] = {}
+    for (a, b), c in poly.terms.items():
+        out[a - b] = out.get(a - b, 0) + c
+    return {k: c for k, c in out.items() if c}
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:

@@ -95,7 +95,7 @@ def test_criterion_3_series_coefficients():
     )
 
 
-def test_criterion_4_oracle_triangle(system30):
+def test_criterion_4_oracle_triangle(system30_at_y):
     from helpers import enumerate_trees
     from mdim.generators import SeededRng, sample_uniform_forest
     from mdim.metric_dimension import brute_force_beta, forest_beta, slater_tree_beta
@@ -111,7 +111,7 @@ def test_criterion_4_oracle_triangle(system30):
             hist_slater[slater_tree_beta(t).beta] += 1
             hist_brute[brute_force_beta(t).beta] += 1
             total += 1
-        pmf = beta_distribution(system30.T, n).pmf
+        pmf = beta_distribution(system30_at_y.T, n).pmf
         assert hist_slater == hist_brute, f"n={n}"
         assert {b: F(c, total) for b, c in hist_slater.items()} == pmf, f"n={n}"
         trees_checked += total

@@ -37,6 +37,32 @@ class TestExactAndBrute:
         assert code == 2
         assert "exceeds size cap" in capsys.readouterr().err
 
+    def test_brute_ceiling(self, tmp_path, capsys):
+        # refused from the header before any search: a star one vertex above
+        # the ceiling would otherwise search for about 15 s
+        import time
+
+        from mdim.metric_dimension import BRUTE_MAX_VERTICES
+
+        n = BRUTE_MAX_VERTICES + 1
+        path = tmp_path / "star.txt"
+        path.write_text(f"{n} {n - 1}\n" + "".join(f"0 {i}\n" for i in range(1, n)))
+        t0 = time.perf_counter()
+        code = main(["brute", "--graph", str(path), "--cap", "40"])
+        elapsed = time.perf_counter() - t0
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"mdim: error: n={n} exceeds the exhaustive-search ceiling of {BRUTE_MAX_VERTICES} vertices\n"
+        )
+        assert elapsed < 1.0
+
+    def test_brute_cap_default_is_brute_cap(self):
+        # the parser keeps a literal so that `mdim.cli` loads no numpy
+        from mdim.cli import build_parser
+        from mdim.metric_dimension import BRUTE_CAP
+
+        assert build_parser().parse_args(["brute", "--graph", "g.txt"]).cap == BRUTE_CAP
+
     def test_brute_cap_checked_before_allocation(self, tmp_path, capsys):
         # building the graph would take CSR arrays of n + 1 int64 entries:
         # `indptr` alone is 8 MB at n = 10**6

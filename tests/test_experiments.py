@@ -159,13 +159,13 @@ class TestRunExperiment:
         assert res.excluded_count == 0
         assert all(1 <= b <= 59 for b in res.included)
 
-    def test_exact_law_matches_series_pmf(self, system30):
+    def test_exact_law_matches_series_pmf(self, system30_at_y):
         from mdim.series import beta_distribution
 
         res = run_experiment(
             ExperimentConfig(model="uniform-tree", n=8, replicates=100_000, seed=21)
         )
-        pmf = beta_distribution(system30.T, 8).pmf
+        pmf = beta_distribution(system30_at_y.T, 8).pmf
         counts = Counter(res.included)
         assert chi_square_ok(counts, {b: float(p) for b, p in pmf.items()}, 100_000)
 

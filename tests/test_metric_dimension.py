@@ -16,6 +16,7 @@ import mdim.metric_dimension
 from mdim.generators import SeededRng, prufer_decode, sample_gnp, sample_uniform_forest, sample_uniform_tree
 from mdim.graph import Graph, connected_components
 from mdim.metric_dimension import (
+    BRUTE_MAX_VERTICES,
     ComponentTooLargeError,
     NotAForestError,
     NotATreeError,
@@ -23,6 +24,7 @@ from mdim.metric_dimension import (
     SizeCapError,
     _solve,
     brute_force_beta,
+    check_brute_size,
     forest_beta,
     graph_beta,
     slater_tree_beta,
@@ -168,6 +170,15 @@ class TestBruteForce:
     def test_cap(self):
         with pytest.raises(SizeCapError):
             brute_force_beta(path_graph(13))
+
+    def test_ceiling_holds_whatever_the_cap(self):
+        # a star one vertex above the ceiling would search for about 15 s
+        star = star_graph(BRUTE_MAX_VERTICES)
+        with pytest.raises(SizeCapError, match=f"ceiling of {BRUTE_MAX_VERTICES} vertices"):
+            brute_force_beta(star, size_cap=star.n)
+        with pytest.raises(SizeCapError, match="ceiling"):
+            graph_beta(disjoint_union(cycle_graph(star.n), path_graph(2)), brute_cap=star.n)
+        check_brute_size(BRUTE_MAX_VERTICES, 40)  # the ceiling itself is searched
 
     def test_lexicographic_minimum(self):
         res = brute_force_beta(star_graph(3))
