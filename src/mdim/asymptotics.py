@@ -84,19 +84,6 @@ def _partials(r: float, y: float) -> tuple[float, float, float, float, float]:
     return phi_r, phi_y, phi_rr, phi_ry, phi_yy
 
 
-def rho_derivatives() -> tuple[float, float]:
-    """rho'(1) and rho''(1) by implicit differentiation of the relation.
-
-    Differentiating phi(rho(y), y) = 0 once and twice in y gives linear
-    equations for the derivatives at y = 1.
-    """
-    rho1 = solve_rho(1.0)
-    phi_r, phi_y, phi_rr, phi_ry, phi_yy = _partials(rho1, 1.0)
-    d1 = -phi_y / phi_r
-    d2 = -(phi_yy + 2.0 * phi_ry * d1 + phi_rr * d1 * d1) / phi_r
-    return d1, d2
-
-
 @dataclass(frozen=True)
 class AsymptoticConstants:
     rho1: float
@@ -112,7 +99,10 @@ class AsymptoticConstants:
 def tree_constants() -> AsymptoticConstants:
     """All uniform-model constants: rho and R values, mu, sigma^2."""
     rho1 = solve_rho(1.0)
-    d1, d2 = rho_derivatives()
+    # rho'(1), rho''(1): differentiate phi(rho(y), y) = 0 once and twice in y at y = 1
+    phi_r, phi_y, phi_rr, phi_ry, phi_yy = _partials(rho1, 1.0)
+    d1 = -phi_y / phi_r
+    d2 = -(phi_yy + 2.0 * phi_ry * d1 + phi_rr * d1 * d1) / phi_r
     w = 1.0 + rho1
     R1 = rho1 / w
     R_d1 = d1 / w**2

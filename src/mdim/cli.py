@@ -28,12 +28,13 @@ def cmd_exact(args) -> int:
 
 def cmd_brute(args) -> int:
     from .graph import parse_graph, parse_header
-    from .metric_dimension import brute_force_beta, check_brute_size
+    from .metric_dimension import BRUTE_CAP, brute_force_beta, check_brute_size
 
+    cap = BRUTE_CAP if args.cap is None else args.cap
     with open(args.graph) as fh:
         text = fh.read()
-    check_brute_size(parse_header(text)[0], args.cap)  # before parse_graph allocates CSR arrays
-    _print_witness(brute_force_beta(parse_graph(text), size_cap=args.cap))
+    check_brute_size(parse_header(text)[0], cap)  # before parse_graph allocates CSR arrays
+    _print_witness(brute_force_beta(parse_graph(text), size_cap=cap))
     return 0
 
 
@@ -163,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("brute", help="metric dimension by exhaustive search")
     p.add_argument("--graph", required=True)
-    p.add_argument("--cap", type=int, default=12)  # BRUTE_CAP, without loading numpy here
+    p.add_argument("--cap", type=int)  # default BRUTE_CAP, read in cmd_brute: parsing loads no numpy
     p.set_defaults(func=cmd_brute)
 
     p = sub.add_parser("sample-tree", help="uniform random labelled tree")

@@ -47,7 +47,6 @@ class ExperimentConfig:
     p_exponent: float | None = None
     output: str | None = None
     format: str = "csv"
-    brute_cap: int = BRUTE_CAP
 
     def validate(self) -> None:
         if self.model not in MODELS:
@@ -212,7 +211,7 @@ def _replicate_beta(cfg: ExperimentConfig, index: int) -> int | None:
         return forest_beta(sample_uniform_forest(cfg.n, rng)).beta
     g = sample_gnp(cfg.n, cfg.edge_probability(), rng)
     try:
-        return graph_beta(g, brute_cap=cfg.brute_cap).beta
+        return graph_beta(g).beta
     except ComponentTooLargeError:
         return None
 
@@ -267,6 +266,7 @@ def render_csv(result: ExperimentResult) -> str:
 
 def render_json(result: ExperimentResult) -> str:
     cfg = {k: v for k, v in asdict(result.config).items() if v is not None}
+    cfg["brute_cap"] = BRUTE_CAP
     doc = {
         "schema": SCHEMA,
         "config": cfg,

@@ -82,8 +82,8 @@ class ResolvingWitness:
         return f"ResolvingWitness(beta={self.beta}, witness={self.witness})"
 
 
-def _solve(g: Graph, parts: ComponentPartition, brute_cap: int) -> ResolvingWitness:
-    """Metric dimension of `g` from its component partition, in array passes.
+def _solve(parts: ComponentPartition, brute_cap: int) -> ResolvingWitness:
+    """Metric dimension of `parts.graph` from its component partition, in array passes.
 
     Slater's rule, |L| - |K|, on the tree components: CSR slot e, the edge
     a -> b = indices[e], steps to b's other slot if b has degree 2 in a tree,
@@ -101,6 +101,7 @@ def _solve(g: Graph, parts: ComponentPartition, brute_cap: int) -> ResolvingWitn
     for c in non_tree:
         if parts.sizes[c] > brute_cap:
             raise ComponentTooLargeError(int(parts.sizes[c]), int(parts.edge_counts[c]), brute_cap)
+    g = parts.graph
     ptr, nbr, deg = g.indptr, g.indices, g.degrees
     mask = deg == 0
     if parts.count >= 2 and np.count_nonzero(mask):
@@ -137,7 +138,7 @@ def slater_tree_beta(t: Graph) -> ResolvingWitness:
         raise NotATreeError(f"graph has {parts.count} components, a tree has 1")
     if not parts.is_forest:
         raise NotATreeError("graph contains a cycle")
-    return _solve(t, parts, 0)
+    return _solve(parts, 0)
 
 
 def forest_beta(f: Graph) -> ResolvingWitness:
@@ -147,7 +148,7 @@ def forest_beta(f: Graph) -> ResolvingWitness:
     parts = connected_components(f)
     if not parts.is_forest:
         raise NotAForestError("graph contains a cycle")
-    return _solve(f, parts, 0)
+    return _solve(parts, 0)
 
 
 def graph_beta(g: Graph, brute_cap: int = BRUTE_CAP) -> ResolvingWitness:
@@ -163,7 +164,7 @@ def graph_beta(g: Graph, brute_cap: int = BRUTE_CAP) -> ResolvingWitness:
     """
     if g.n == 0:
         raise GraphError("empty graph")
-    return _solve(g, connected_components(g), brute_cap)
+    return _solve(connected_components(g), brute_cap)
 
 
 def check_brute_size(n: int, size_cap: int) -> None:

@@ -320,18 +320,8 @@ def _conv(a: list[_Coeff], b: list[_Coeff], n: int) -> _Coeff:
 
 def x_times(order: int, poly: _Coeff, power: int = 1) -> TruncatedSeries:
     """The series poly * x^power at the given truncation order."""
-    counts = [poly.const(0)] * (order + 1)
-    if power <= order:
-        counts[power] = poly.scale(factorial(power))
-    return TruncatedSeries(order, counts)
-
-
-def _exp_ux(order: int, sign: int, u: _Coeff) -> TruncatedSeries:
-    """exp(sign * ux): the x^n count is (sign u)^n."""
-    counts, su = [u.const(1)], u.scale(sign)
-    for _ in range(order):
-        counts.append(counts[-1] * su)
-    return TruncatedSeries(order, counts)
+    zero, term = poly.const(0), poly.scale(factorial(power))
+    return TruncatedSeries(order, [term if n == power else zero for n in range(order + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +339,12 @@ def _solve_P(order: int, u: _Coeff, v: _Coeff) -> tuple[TruncatedSeries, Truncat
     one = u.const(1)
     a = [one.const(0)]  # counts of P
     e = [one]  # counts of exp(P)
-    q = _exp_ux(order, -1, u).poly_mul(one - v).counts
-    q[0] = one  # q = v + (1-v) exp(-ux) = 1 + (1-v)(exp(-ux) - 1)
-    # 1! (u - 1) and 2! u(1 - v)
-    base = {1: u - one, 2: (u * (one - v)).scale(2)}
+    # q = v + (1-v) exp(-ux)
+    q = (x_times(order, u.scale(-1)).exp().poly_mul(one - v) + x_times(order, v, 0)).counts
+    # the base terms (u - 1)x + u(1 - v)x^2
+    base = (x_times(order, u - one) + x_times(order, u * (one - v), 2)).counts
     for n in range(1, order + 1):
-        rhs = (_conv(q, e, n - 1) - a[n - 1]).scale(n)
-        a.append(rhs + base[n] if n in base else rhs)
+        a.append((_conv(q, e, n - 1) - a[n - 1]).scale(n) + base[n])
         e.append(_conv(a[1:], e, n - 1))
     return TruncatedSeries(order, a), TruncatedSeries(order, e)
 
@@ -369,7 +358,7 @@ def tree_series(S: TruncatedSeries) -> TruncatedSeries:
     """
     N = S.order
     zero = S.counts[0].const(0)
-    comp = [zero] * (N + 1)
+    comp = [zero]
     for n in range(1, N + 1):
         acc = zero
         nf = factorial(n)
@@ -377,11 +366,8 @@ def tree_series(S: TruncatedSeries) -> TruncatedSeries:
             s = S.counts[m]
             if s:
                 acc = acc + s.scale(nf // factorial(m) * comb(n - 1, m - 1))
-        comp[n] = acc
-    out = [zero] * (N + 1)
-    for n in range(1, N + 1):
-        out[n] = comp[n] - comp[n - 1].scale(n)
-    return TruncatedSeries(N, out)
+        comp.append(acc)
+    return TruncatedSeries(N, [zero] + [comp[n] - comp[n - 1].scale(n) for n in range(1, N + 1)])
 
 
 def forest_series(T: TruncatedSeries, u: _Coeff, v: _Coeff) -> TruncatedSeries:
@@ -395,8 +381,7 @@ def forest_series(T: TruncatedSeries, u: _Coeff, v: _Coeff) -> TruncatedSeries:
     """
     N, one = T.order, u.const(1)
     core = (T - x_times(N, u)).exp()
-    iso = _exp_ux(N, 1, u).poly_mul(v)
-    iso.counts[0] = one  # 1 + v (exp(ux) - 1)
+    iso = x_times(N, u).exp().poly_mul(v) + x_times(N, one - v, 0)  # 1 + v (exp(ux) - 1)
     return core * iso + x_times(N, u * (one - v))
 
 
@@ -449,7 +434,7 @@ class SeriesSystem:
 
     @cached_property
     def _exp_A(self) -> TruncatedSeries:
-        return self.E * _exp_ux(self.order, -1, self.u)
+        return self.E * x_times(self.order, self.u.scale(-1)).exp()
 
     @cached_property
     def U(self) -> TruncatedSeries:

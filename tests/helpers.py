@@ -72,10 +72,11 @@ def leg_counts(t: Graph) -> dict[int, int]:
     return legs
 
 
-def slater_walk_witness(g: Graph, parts: ComponentPartition, brute_cap: int) -> ResolvingWitness:
+def slater_walk_witness(parts: ComponentPartition, brute_cap: int) -> ResolvingWitness:
     """`_solve` by walking from each leaf, one vertex at a time, through
     degree-2 vertices to its terminal, and sorting the witness labels in
     Python: the oracle for the solver's pointer doubling over CSR slots."""
+    g = parts.graph
     cyclic = parts.cyclic
     non_tree = cyclic.nonzero()[0].tolist()
     for c in non_tree:

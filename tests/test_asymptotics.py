@@ -6,7 +6,6 @@ from helpers import C_closed_mp, C_series, rho_stencil, sum_c_series, tau_partia
 from mdim.asymptotics import (
     C_closed,
     c_curve,
-    rho_derivatives,
     solve_rho,
     tree_constants,
     _relation,
@@ -34,13 +33,15 @@ class TestSolveRho:
 
 class TestRhoDerivatives:
     def test_values(self):
-        d1, d2 = rho_derivatives()
+        c = tree_constants()
+        d1, d2 = c.rho_d1, c.rho_d2
         assert abs(d1 - (-0.12960268)) < 1e-7
         assert abs(d2 - 0.11039081) < 1e-6
 
     def test_methods_agree(self):
         # implicit differentiation against finite differences of solve_rho
-        d1, d2 = rho_derivatives()
+        c = tree_constants()
+        d1, d2 = c.rho_d1, c.rho_d2
         fd1, fd2 = rho_stencil()
         assert abs(d1 - fd1) < 1e-8
         assert abs(d2 - fd2) < 1e-8

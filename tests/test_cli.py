@@ -56,12 +56,19 @@ class TestExactAndBrute:
         )
         assert elapsed < 1.0
 
-    def test_brute_cap_default_is_brute_cap(self):
-        # the parser keeps a literal so that `mdim.cli` loads no numpy
-        from mdim.cli import build_parser
+    def test_brute_cap_default_is_brute_cap(self, tmp_path, capsys):
+        # without --cap, `cmd_brute` applies BRUTE_CAP: one vertex more is
+        # refused, and BRUTE_CAP edgeless vertices are searched
         from mdim.metric_dimension import BRUTE_CAP
 
-        assert build_parser().parse_args(["brute", "--graph", "g.txt"]).cap == BRUTE_CAP
+        path = tmp_path / "e.txt"
+        path.write_text(f"{BRUTE_CAP + 1} 0\n")
+        assert main(["brute", "--graph", str(path)]) == 2
+        assert capsys.readouterr().err == f"mdim: error: n={BRUTE_CAP + 1} exceeds size cap {BRUTE_CAP}\n"
+        path.write_text(f"{BRUTE_CAP} 0\n")
+        code, out = run_cli(capsys, "brute", "--graph", str(path))
+        assert code == 0
+        assert json.loads(out) == {"beta": BRUTE_CAP - 1, "witness": list(range(BRUTE_CAP - 1))}
 
     def test_brute_cap_checked_before_allocation(self, tmp_path, capsys):
         # building the graph would take CSR arrays of n + 1 int64 entries:

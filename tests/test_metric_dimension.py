@@ -282,7 +282,7 @@ class TestGraphBeta:
 def solved(solver, g, brute_cap=12):
     """The solver's witness, or the oversize component's (size, edges, cap)."""
     try:
-        return solver(g, connected_components(g), brute_cap)
+        return solver(connected_components(g), brute_cap)
     except ComponentTooLargeError as exc:
         return exc.size, exc.edges, exc.cap
 
@@ -363,7 +363,7 @@ class TestWalkOracle:
         # every vertex of C7 has degree 2: the doubling must stop on them
         g = disjoint_union(cycle_graph(7), spider([2, 1, 3]), path_graph(3))
         assert solved(_solve, g) == solved(slater_walk_witness, g)
-        assert _solve(g, connected_components(g), 12).beta == 2 + 2 + 1
+        assert _solve(connected_components(g), 12).beta == 2 + 2 + 1
 
     def test_caterpillar_with_degree_three_spine(self):
         # spine 0..k-1; the ends carry two leaves, the inner vertices one

@@ -103,10 +103,12 @@ class TestMobileSplit:
 
     def test_exp_A_from_exp_P(self):
         # exp(A) = exp(P) exp(-ux), against the series exponential of A = P - ux
-        from mdim.series import _exp_ux, _solve_P
+        from mdim.series import _solve_P
 
         P, E = _solve_P(30, U, V)
-        assert E * _exp_ux(30, -1, U) == (P - x_times(30, U)).exp()
+        exp_mux = x_times(30, U.scale(-1)).exp()
+        assert [exp_mux.count_poly(n) for n in range(31)] == [UVPoly({(n, 0): (-1) ** n}) for n in range(31)]
+        assert E * exp_mux == (P - x_times(30, U)).exp()
 
     def test_U_valuation(self, sys12):
         assert valuation(sys12.U) == 3

@@ -4,8 +4,9 @@ golden hashes of the samplers' exact output and of the exact series output.
 A change to any witness a solver returns, not only to beta, fails here.
 Each witness is written as whitespace-separated labels; beta is its length.
 The hashes pin the edge sets themselves, so a sampler change that keeps
-every beta still fails, and they pin `mdim series`, `mdim dist` and
-`mdim mc` runs byte for byte, the normality statistics among them.
+every beta still fails, and they pin `mdim series`, `mdim dist`,
+`mdim constants` and `mdim mc` runs byte for byte, the normality
+statistics among them.
 """
 
 import contextlib
@@ -464,6 +465,10 @@ DIST_1_TO_20_SHA256 = {
     "forest": "383b19fbe26eff39c7aba86985955b441a83d1749e8b8794b28fbbc5d9f4cbd2",
 }
 
+# sha256 of the stdout of `mdim constants`: rho(1), rho'(1), rho''(1), the R
+# values, mu and sigma^2, each printed to its last digit
+CONSTANTS_SHA256 = "6b53631b462faa31a252cf2f03d7797b33941caafbb427683c36b5c85b401715"
+
 
 def cli_stdout(*argv):
     out = io.StringIO()
@@ -512,3 +517,7 @@ def test_mc_ks_output(args):
 def test_dist_output(model):
     text = "".join(cli_stdout("dist", "--model", model, "--n", str(n)) for n in range(1, 21))
     assert hashlib.sha256(text.encode()).hexdigest() == DIST_1_TO_20_SHA256[model]
+
+
+def test_constants_output():
+    assert hashlib.sha256(cli_stdout("constants").encode()).hexdigest() == CONSTANTS_SHA256
