@@ -5,7 +5,7 @@ A change to any witness a solver returns, not only to beta, fails here.
 Each witness is written as whitespace-separated labels; beta is its length.
 The hashes pin the edge sets themselves, so a sampler change that keeps
 every beta still fails, and they pin `mdim series`, `mdim dist`,
-`mdim constants` and `mdim mc` runs byte for byte, the normality
+`mdim constants`, `mdim c-curve` and `mdim mc` runs byte for byte, the normality
 statistics among them.
 """
 
@@ -469,6 +469,10 @@ DIST_1_TO_20_SHA256 = {
 # values, mu and sigma^2, each printed to its last digit
 CONSTANTS_SHA256 = "6b53631b462faa31a252cf2f03d7797b33941caafbb427683c36b5c85b401715"
 
+# sha256 of the stdout of `mdim c-curve` on its default grid c = 0, 0.01, ..., 0.99:
+# the header and 100 rows of C(c), each printed to its last digit
+C_CURVE_SHA256 = "aeae03282d65360b652ccd75db02de9042905250bbfe239aa80c9c44fe3e1833"
+
 
 def cli_stdout(*argv):
     out = io.StringIO()
@@ -521,3 +525,9 @@ def test_dist_output(model):
 
 def test_constants_output():
     assert hashlib.sha256(cli_stdout("constants").encode()).hexdigest() == CONSTANTS_SHA256
+
+
+def test_c_curve_output():
+    text = cli_stdout("c-curve")
+    assert len(text.splitlines()) == 101
+    assert hashlib.sha256(text.encode()).hexdigest() == C_CURVE_SHA256
