@@ -22,45 +22,8 @@ import math
 from dataclasses import dataclass
 
 
-class ConvergenceError(RuntimeError):
-    pass
-
-
-_BRACKET = (0.1, 2.0)
-
-
 def _relation(r: float, y: float) -> float:
     return (1.0 + (math.exp(y * r) - 1.0) / y) * r * math.exp(1.0 - r) - 1.0 - r
-
-
-def solve_rho(y: float) -> float:
-    """Positive root near 0.58 of the singularity relation, for y in [0.5, 1.5].
-
-    Safeguarded Newton: steps leaving the bracket [0.1, 2.0] fall back to
-    bisection, so only the intended branch is found.
-    """
-    if not 0.5 <= y <= 1.5:
-        raise ValueError(f"y={y} outside [0.5, 1.5]")
-    lo, hi = _BRACKET
-    flo = _relation(lo, y)
-    fhi = _relation(hi, y)
-    if flo > 0 or fhi < 0:
-        raise ConvergenceError(f"bracket {_BRACKET} does not straddle the root at y={y}")
-    x = 0.58
-    for _ in range(200):
-        fx = _relation(x, y)
-        if abs(fx) < 1e-14:
-            return x
-        if fx < 0:
-            lo = x
-        else:
-            hi = x
-        dfx = _partials(x, y)[0]
-        nxt = x - fx / dfx if dfx != 0.0 else lo
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        x = nxt
-    raise ConvergenceError(f"no convergence after 200 iterations at y={y}")
 
 
 def _partials(r: float, y: float) -> tuple[float, float, float, float, float]:
@@ -98,7 +61,15 @@ class AsymptoticConstants:
 
 def tree_constants() -> AsymptoticConstants:
     """All uniform-model constants: rho and R values, mu, sigma^2."""
-    rho1 = solve_rho(1.0)
+    # rho(1): Newton's method on phi(r, 1) = 0 from 0.58, near the root 1/(e-1)
+    rho1 = 0.58
+    for _ in range(8):
+        phi = _relation(rho1, 1.0)
+        if abs(phi) < 1e-14:
+            break
+        rho1 -= phi / _partials(rho1, 1.0)[0]
+    else:
+        raise AssertionError("Newton's method for rho(1) did not converge")
     # rho'(1), rho''(1): differentiate phi(rho(y), y) = 0 once and twice in y at y = 1
     phi_r, phi_y, phi_rr, phi_ry, phi_yy = _partials(rho1, 1.0)
     d1 = -phi_y / phi_r

@@ -18,9 +18,10 @@ from typing import Iterator
 
 import mpmath
 import numpy as np
+from scipy.optimize import brentq
 from scipy.stats import chi2
 
-from mdim.asymptotics import _c_closed, solve_rho
+from mdim.asymptotics import _c_closed, _relation, tree_constants
 from mdim.generators import prufer_decode
 from mdim.graph import ComponentKind, ComponentPartition, Graph, GraphError, bfs_distances, induced_subgraph
 from mdim.metric_dimension import ComponentTooLargeError, ResolvingWitness, brute_force_beta
@@ -391,7 +392,7 @@ def tau_partial_sums(order: int) -> list[float]:
     from below (all counts are non-negative).
     """
     P = series_system(order).P
-    rho1 = solve_rho(1.0)
+    rho1 = tree_constants().rho1
     sums = []
     acc = 0.0
     for n in range(order + 1):
@@ -402,8 +403,13 @@ def tau_partial_sums(order: int) -> list[float]:
 
 
 def rho_stencil(h: float = 1e-3) -> tuple[float, float]:
-    """rho'(1) and rho''(1) by 5-point finite differences over `solve_rho`."""
-    r = {k: solve_rho(1.0 + k * h) for k in (-2, -1, 0, 1, 2)}
+    """rho'(1) and rho''(1) by 5-point finite differences of rho(y), each
+    rho(1 + kh) found by `brentq` on the library's singularity relation over
+    the bracket [0.1, 2.0], which holds only the root near 0.58."""
+    r = {
+        k: brentq(_relation, 0.1, 2.0, args=(1.0 + k * h,), xtol=1e-15)
+        for k in (-2, -1, 0, 1, 2)
+    }
     fd1 = (r[-2] - 8.0 * r[-1] + 8.0 * r[1] - r[2]) / (12.0 * h)
     fd2 = (-r[-2] + 16.0 * r[-1] - 30.0 * r[0] + 16.0 * r[1] - r[2]) / (12.0 * h * h)
     return fd1, fd2

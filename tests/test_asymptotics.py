@@ -6,7 +6,6 @@ from helpers import C_closed_mp, C_series, rho_stencil, sum_c_series, tau_partia
 from mdim.asymptotics import (
     C_closed,
     c_curve,
-    solve_rho,
     tree_constants,
     _relation,
 )
@@ -14,21 +13,11 @@ from mdim.asymptotics import (
 E = math.e
 
 
-class TestSolveRho:
-    def test_value_at_one(self):
-        assert abs(solve_rho(1.0) - 1 / (E - 1)) < 1e-14
-
-    def test_residual(self):
-        for y in (0.6, 0.85, 1.0, 1.2, 1.5):
-            r = solve_rho(y)
-            assert abs(_relation(r, y)) < 1e-14
-
-    def test_decreasing_at_one(self):
-        assert solve_rho(1.001) < solve_rho(0.999)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            solve_rho(2.0)
+class TestRho1:
+    def test_value_and_residual(self):
+        rho1 = tree_constants().rho1
+        assert abs(rho1 - 1 / (E - 1)) < 1e-14
+        assert abs(_relation(rho1, 1.0)) < 1e-14
 
 
 class TestRhoDerivatives:
@@ -39,7 +28,7 @@ class TestRhoDerivatives:
         assert abs(d2 - 0.11039081) < 1e-6
 
     def test_methods_agree(self):
-        # implicit differentiation against finite differences of solve_rho
+        # implicit differentiation against finite differences of brentq roots
         c = tree_constants()
         d1, d2 = c.rho_d1, c.rho_d2
         fd1, fd2 = rho_stencil()

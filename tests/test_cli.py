@@ -499,16 +499,19 @@ class TestDependencies:
         assert fresh_python_stdout(code) == "[] False\n"
 
     def test_series_commands_leave_out_numpy(self):
-        # they build no graph; numpy would add about 10 MB and 60 ms to each
+        # they build no graph; numpy would add about 10 MB and 60 ms to each.
+        # The constants need no root finder from scipy either.
         code = (
             "import contextlib, io, sys\n"
             "import mdim\n"
             "from mdim.cli import main\n"
+            "runs = [['dist', '--model', 'forest', '--n', '8'], ['series', '--order', '6'],\n"
+            "        ['constants'], ['c-curve']]\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    rcs = [main(['dist', '--model', 'forest', '--n', '8']), main(['series', '--order', '6'])]\n"
-            "print(rcs, 'numpy' in sys.modules)"
+            "    rcs = [main(argv) for argv in runs]\n"
+            "print(rcs, 'numpy' in sys.modules, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         )
-        assert fresh_python_stdout(code) == "[0, 0] False\n"
+        assert fresh_python_stdout(code) == "[0, 0, 0, 0] False []\n"
 
     def test_third_party_imports_are_declared(self):
         import ast
