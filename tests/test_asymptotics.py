@@ -13,11 +13,13 @@ from mdim.asymptotics import (
 E = math.e
 
 
-class TestRho1:
-    def test_value_and_residual(self):
-        rho1 = tree_constants().rho1
-        assert abs(rho1 - 1 / (E - 1)) < 1e-14
-        assert abs(_relation(rho1, 1.0)) < 1e-14
+class TestSolveRho:
+    # rho(1) as solved by Newton's method inside tree_constants
+    def test_value_at_one(self):
+        assert abs(tree_constants().rho1 - 1 / (E - 1)) < 1e-14
+
+    def test_residual(self):
+        assert abs(_relation(tree_constants().rho1, 1.0)) < 1e-14
 
 
 class TestRhoDerivatives:

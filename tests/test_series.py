@@ -319,10 +319,22 @@ class TestBetaDistribution:
 
 
 class TestTriangleOfTruth:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_exact_pmf_vs_both_oracles(self, n, dist12):
+        hist_slater = Counter()
+        hist_brute = Counter()
+        total = 0
+        for t in enumerate_trees(n):
+            hist_slater[slater_tree_beta(t).beta] += 1
+            hist_brute[brute_force_beta(t).beta] += 1
+            total += 1
+        pmf = beta_distribution(dist12.T, n).pmf
+        assert {b: F(c, total) for b, c in hist_slater.items()} == pmf
+        assert hist_slater == hist_brute
+
     def test_n8_slater_exhaustive_brute_sampled(self, dist12):
-        # the acceptance suite checks slater, brute force and the pmf against
-        # each other on all 18,248 trees with n <= 7; here slater covers all
-        # 8^6 trees of n = 8 and brute force a fixed slice
+        # slater covers all 8^6 trees of n = 8 and brute force a fixed slice;
+        # the exhaustive brute-force pass stops at n = 7
         hist = Counter()
         total = 0
         brute_checked = 0
