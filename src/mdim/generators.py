@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 import numpy.random  # numpy 2 loads it lazily: load it with this module, not in the first replicate
 
-from .graph import Graph, check_edge_limit, check_vertex_limit
+from .graph import Graph, _with_components, check_edge_limit, check_vertex_limit
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,15 @@ def _prufer_edges(seq: Sequence[int] | np.ndarray) -> np.ndarray:
     return edges
 
 
+def _tree(n: int, edges) -> Graph:
+    """The tree on n vertices with these edges, carrying its partition: one
+    component, whose smallest label is 0."""
+    return _with_components(Graph.from_edges(n, edges), np.zeros(n, dtype=np.int64), 1)
+
+
 def prufer_decode(seq: Sequence[int] | np.ndarray) -> Graph:
     """Decode a Pruefer sequence of length n-2 into the labelled tree on n >= 2 vertices."""
-    return Graph.from_edges(len(seq) + 2, _prufer_edges(seq))
+    return _tree(len(seq) + 2, _prufer_edges(seq))
 
 
 def sample_uniform_tree(n: int, rng: np.random.Generator) -> Graph:
@@ -97,7 +103,7 @@ def sample_uniform_tree(n: int, rng: np.random.Generator) -> Graph:
         raise ValueError("n must be >= 1")
     check_vertex_limit(n)
     if n == 1:
-        return Graph.from_edges(1, [])
+        return _tree(1, [])
     return prufer_decode(rng.integers(0, n, size=n - 2))
 
 
@@ -173,13 +179,18 @@ def sample_uniform_forest(n: int, rng: np.random.Generator) -> Graph:
     has probability C(m-1,k-1) t_k f_{m-k} / f_m among m remaining labels; the
     component itself is then a uniform tree on its label set.  The counts
     come from the `forest_counts` cache, built on the first call for n.
+    The forest carries its partition: each anchor is the smallest label of
+    its component.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     table = forest_counts(n)
     available = np.arange(n)
     parts = [np.empty((0, 2), dtype=np.int64)]
+    smallest = np.arange(n)  # an isolated vertex is its own anchor
+    count = 0
     while available.size:
+        count += 1
         m = available.size
         cums = table.component_cumweights(m)
         r = _randbelow(rng, table.f[m])
@@ -192,8 +203,9 @@ def sample_uniform_forest(n: int, rng: np.random.Generator) -> Graph:
             taken[rng.choice(m - 1, size=k - 1, replace=False) + 1] = True
             members = available[taken]
             available = available[~taken]
+            smallest[members] = members[0]
             parts.append(members[_prufer_edges(rng.integers(0, k, size=k - 2))])
-    return Graph.from_edges(n, np.concatenate(parts))
+    return _with_components(Graph.from_edges(n, np.concatenate(parts)), smallest, count)
 
 
 def _pairs_from_indices(idx: np.ndarray, n: int, total: int) -> np.ndarray:

@@ -99,6 +99,17 @@ class Graph:
         return cls(n, indptr, indices, sources)
 
     @cached_property
+    def component_labels(self) -> tuple[np.ndarray, int]:
+        """Each vertex's smallest label, read-only, and the component count:
+        the partition `connected_components` computes on first read, unless
+        the sampler that built the graph filled it in (`_with_components`).
+        Holds the arrays, not a `ComponentPartition`, which would point back
+        at the graph."""
+        parts = connected_components(self)
+        parts.smallest.flags.writeable = False
+        return parts.smallest, parts.count
+
+    @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbour tuples, derived from the arrays on first read."""
         flat, ptr = self.indices.tolist(), self.indptr.tolist()
@@ -233,10 +244,27 @@ def _smallest_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def connected_components(g: Graph) -> ComponentPartition:
-    """Partition into components, each classified by shape."""
+    """Partition into components, each classified by shape, computed afresh
+    by hook-and-compress."""
     half = g.sources < g.indices
     smallest = _smallest_labels(g.n, g.sources[half], g.indices[half])
     return ComponentPartition(g, smallest, int(np.count_nonzero(smallest == np.arange(g.n))))
+
+
+def partition(g: Graph) -> ComponentPartition:
+    """`g`'s component partition from `Graph.component_labels`: the one its
+    sampler handed over, else `connected_components(g)` once per graph."""
+    return ComponentPartition(g, *g.component_labels)
+
+
+def _with_components(g: Graph, smallest: np.ndarray, count: int) -> Graph:
+    """`g` carrying the partition its builder knows by construction: each
+    vertex's smallest label (int64) and the component count.  The caller
+    vouches for it; the tests check every sampler against
+    `connected_components`."""
+    smallest.flags.writeable = False
+    g.__dict__["component_labels"] = (smallest, count)  # where the cached_property keeps its value
+    return g
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int]]:

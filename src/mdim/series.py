@@ -459,7 +459,6 @@ class SeriesSystem:
 MAX_ORDER = 100
 
 
-@cache
 def series_system(order: int, at_y: bool = False) -> SeriesSystem:
     """Solve the tree chain P -> S -> T at one truncation order, once per process.
 
@@ -482,6 +481,14 @@ def series_system(order: int, at_y: bool = False) -> SeriesSystem:
     then `tree_series` gives T.  U, V and G (`forest_series`) are built
     when first read from the returned `SeriesSystem`.
     """
+    return _system(order, at_y)
+
+
+@cache
+def _system(order: int, at_y: bool) -> SeriesSystem:
+    """The memo behind `series_system`, keyed on (order, at_y) positionally:
+    `functools.cache` keys on the call form, so series_system(45) and
+    series_system(45, at_y=False) would otherwise build the chain twice."""
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"series order {order} outside 0..{MAX_ORDER}")
     if at_y:
@@ -502,3 +509,6 @@ def series_system(order: int, at_y: bool = False) -> SeriesSystem:
         - (A2 + A2.shift_x()).half()
     )
     return SeriesSystem(order, u, v, P, E, S, tree_series(S))
+
+
+series_system.cache_clear = _system.cache_clear

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from helpers import (
     chi_square_ok,
@@ -24,25 +25,80 @@ from mdim.generators import (
     sample_uniform_forest,
     sample_uniform_tree,
 )
-from mdim.graph import MAX_EDGES, MAX_VERTICES, GraphError, connected_components, serialize_graph
+from mdim.graph import (
+    MAX_EDGES,
+    MAX_VERTICES,
+    Graph,
+    GraphError,
+    connected_components,
+    parse_graph,
+    serialize_graph,
+)
+from mdim.metric_dimension import forest_beta, slater_tree_beta
 
 
 def edge_key(g):
     return tuple(g.edges())
 
 
+class Handed:
+    """Checks the partition each sampled graph carries against a fresh
+    `connected_components`: each smallest label, its dtype, and the count.
+
+    Graphs are checked in batches, by one `connected_components` over the
+    disjoint union of the batch: its smallest labels are each graph's,
+    shifted by the graph's offset, and its roots in each block are that
+    graph's count.  So a law test that draws 10^5 graphs pays one
+    hook-and-compress per batch, not one per graph.
+    """
+
+    def __init__(self, batch: int = 10_000):
+        self.batch = batch
+        self.held = []  # arrays only: holding the graphs, with their `adj` tuples, slows the collector
+
+    def __call__(self, g):
+        # filled in by the sampler; read first, the property would run connected_components itself
+        assert "component_labels" in vars(g)
+        self.held.append((g.n, g.sources, g.indices, *g.component_labels))
+        if len(self.held) >= self.batch:
+            self.check()
+        return g
+
+    def check(self):
+        held, self.held = self.held, []
+        if not held:
+            return
+        sizes, sources, indices, smallest, counts = zip(*held)
+        sizes = np.array(sizes)
+        starts = np.cumsum(sizes) - sizes
+        shift = np.repeat(starts, [len(s) for s in sources])
+        src, dst = np.concatenate(sources) + shift, np.concatenate(indices) + shift
+        fresh = connected_components(Graph.from_edges(int(sizes.sum()), np.stack((src, dst), axis=1)[src < dst]))
+        assert {s.dtype for s in smallest} == {fresh.smallest.dtype}
+        assert np.array_equal(np.concatenate(smallest) + np.repeat(starts, sizes), fresh.smallest)
+        roots = np.add.reduceat(fresh.smallest == np.arange(len(fresh.smallest)), starts)
+        assert roots.tolist() == list(counts)
+
+
+@pytest.fixture
+def handed():
+    batch = Handed()
+    yield batch
+    batch.check()
+
+
 class TestPruferDecode:
-    def test_star_center_zero(self):
-        g = prufer_decode([0])
+    def test_star_center_zero(self, handed):
+        g = handed(prufer_decode([0]))
         assert edge_key(g) == ((0, 1), (0, 2))
 
-    def test_single_edge(self):
-        assert edge_key(prufer_decode([])) == ((0, 1),)
+    def test_single_edge(self, handed):
+        assert edge_key(handed(prufer_decode([]))) == ((0, 1),)
 
-    def test_bijection_n4(self):
+    def test_bijection_n4(self, handed):
         from itertools import product
 
-        images = {edge_key(prufer_decode(seq)) for seq in product(range(4), repeat=2)}
+        images = {edge_key(handed(prufer_decode(seq))) for seq in product(range(4), repeat=2)}
         assert len(images) == 16
 
     def test_out_of_range_entry(self):
@@ -83,11 +139,11 @@ class TestPruferDecode:
             seq = rng.integers(0, n, size=n - 2)
             assert _prufer_edges(seq).tolist() == [list(e) for e in prufer_edges_walk(seq.tolist())]
 
-    def test_decodes_are_trees(self):
+    def test_decodes_are_trees(self, handed):
         for n in (5, 6, 7):
             rng = SeededRng(99, n).generator()
             seq = [int(x) for x in rng.integers(0, n, size=n - 2)]
-            t = prufer_decode(seq)
+            t = handed(prufer_decode(seq))
             assert t.n == n and t.edge_count == n - 1
             assert len(connected_components(t).components) == 1
 
@@ -127,32 +183,32 @@ class TestEnumerateTrees:
 
 
 class TestUniformTree:
-    def test_tiny_sizes(self):
+    def test_tiny_sizes(self, handed):
         rng = SeededRng(0, 0).generator()
-        assert sample_uniform_tree(1, rng).n == 1
-        assert edge_key(sample_uniform_tree(2, rng)) == ((0, 1),)
+        assert handed(sample_uniform_tree(1, rng)).n == 1
+        assert edge_key(handed(sample_uniform_tree(2, rng))) == ((0, 1),)
 
-    def test_uniform_n3(self):
+    def test_uniform_n3(self, handed):
         rng = SeededRng(42, 0).generator()
-        counts = Counter(edge_key(sample_uniform_tree(3, rng)) for _ in range(100_000))
+        counts = Counter(edge_key(handed(sample_uniform_tree(3, rng))) for _ in range(100_000))
         probs = {edge_key(t): 1 / 3 for t in enumerate_trees(3)}
         assert len(counts) == 3
         assert chi_square_ok(counts, probs, 100_000)
 
-    def test_uniform_n4(self):
+    def test_uniform_n4(self, handed):
         rng = SeededRng(43, 0).generator()
-        counts = Counter(edge_key(sample_uniform_tree(4, rng)) for _ in range(100_000))
+        counts = Counter(edge_key(handed(sample_uniform_tree(4, rng))) for _ in range(100_000))
         probs = {edge_key(t): 1 / 16 for t in enumerate_trees(4)}
         assert len(counts) == 16
         assert chi_square_ok(counts, probs, 100_000)
 
-    def test_star_frequency_n4(self):
+    def test_star_frequency_n4(self, handed):
         rng = SeededRng(44, 0).generator()
         total = 100_000
         stars = sum(
             1
             for _ in range(total)
-            if max(map(len, sample_uniform_tree(4, rng).adj)) == 3
+            if max(map(len, handed(sample_uniform_tree(4, rng)).adj)) == 3
         )
         p = 4 / 16
         sigma = math.sqrt(p * (1 - p) / total)
@@ -198,22 +254,22 @@ class TestForestCounts:
 
 
 class TestUniformForest:
-    def test_two_singletons_probability(self):
+    def test_two_singletons_probability(self, handed):
         rng = SeededRng(7, 0).generator()
         total = 40_000
-        empty = sum(1 for _ in range(total) if sample_uniform_forest(2, rng).edge_count == 0)
+        empty = sum(1 for _ in range(total) if handed(sample_uniform_forest(2, rng)).edge_count == 0)
         sigma = math.sqrt(0.25 / total)
         assert abs(empty / total - 0.5) < 3.5 * sigma
 
-    def test_empty_graph_probability_n3(self):
+    def test_empty_graph_probability_n3(self, handed):
         rng = SeededRng(8, 0).generator()
         total = 70_000
-        empty = sum(1 for _ in range(total) if sample_uniform_forest(3, rng).edge_count == 0)
+        empty = sum(1 for _ in range(total) if handed(sample_uniform_forest(3, rng)).edge_count == 0)
         p = 1 / 7
         sigma = math.sqrt(p * (1 - p) / total)
         assert abs(empty / total - p) < 3.5 * sigma
 
-    def test_component_size_law_n6(self):
+    def test_component_size_law_n6(self, handed):
         tab = forest_counts(6)
         probs = {
             k: math.comb(5, k - 1) * tab.t[k] * tab.f[6 - k] / tab.f[6]
@@ -223,13 +279,13 @@ class TestUniformForest:
         total = 100_000
         counts = Counter()
         for _ in range(total):
-            f = sample_uniform_forest(6, rng)
+            f = handed(sample_uniform_forest(6, rng))
             parts = connected_components(f)
             comp0 = parts.components[parts.component_of[0]]
             counts[len(comp0)] += 1
         assert chi_square_ok(counts, probs, total)
 
-    def test_isolated_vertex_marginal(self):
+    def test_isolated_vertex_marginal(self, handed):
         # P(vertex 0 isolated in a uniform forest on n) = f_{n-1}/f_n
         total = 30_000
         for n in range(2, 11):
@@ -239,7 +295,7 @@ class TestUniformForest:
             hits = sum(
                 1
                 for _ in range(total)
-                if len(sample_uniform_forest(n, rng).adj[0]) == 0
+                if len(handed(sample_uniform_forest(n, rng)).adj[0]) == 0
             )
             sigma = math.sqrt(p * (1 - p) / total)
             assert abs(hits / total - p) < 4 * sigma, n
@@ -310,17 +366,96 @@ class TestGnp:
 
 
 class TestDeterminism:
-    def test_same_seed_same_graph(self):
-        for sampler, n in (
-            (sample_uniform_tree, 200),
-            (lambda n, r: sample_uniform_forest(n, r), 60),
-            (lambda n, r: sample_gnp(n, 2.0 / n, r), 500),
+    def test_same_seed_same_graph(self, handed):
+        for sampler, n, hands_partition in (
+            (sample_uniform_tree, 200, True),
+            (lambda n, r: sample_uniform_forest(n, r), 60, True),
+            (lambda n, r: sample_gnp(n, 2.0 / n, r), 500, False),
         ):
             a = sampler(n, SeededRng(5, 3).generator())
             b = sampler(n, SeededRng(5, 3).generator())
             assert serialize_graph(a) == serialize_graph(b)
+            if hands_partition:
+                handed(a)
+            else:  # G(n,p) leaves its partition to connected_components
+                assert "component_labels" not in vars(a)
 
-    def test_streams_differ(self):
-        a = sample_uniform_tree(100, SeededRng(5, 0).generator())
-        b = sample_uniform_tree(100, SeededRng(5, 1).generator())
+    def test_streams_differ(self, handed):
+        a = handed(sample_uniform_tree(100, SeededRng(5, 0).generator()))
+        b = handed(sample_uniform_tree(100, SeededRng(5, 1).generator()))
         assert serialize_graph(a) != serialize_graph(b)
+
+
+class TestHandedPartition:
+    @given(
+        st.integers(1, 60).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), min_size=max(n - 2, 0), max_size=max(n - 2, 0)))
+        )
+    )
+    @example((1, []))
+    @example((2, []))
+    @example((60, [59] * 58))
+    def test_random_pruefer_sequences(self, case):
+        n, seq = case
+        handed = Handed()  # checked inside the example, so that hypothesis can shrink a failure
+        t = handed(sample_uniform_tree(1, SeededRng(0).generator()) if n == 1 else prufer_decode(seq))
+        handed.check()
+        assert t.n == n
+        smallest, count = t.component_labels
+        assert count == 1 and not smallest.any()
+
+    @given(st.integers(1, 40), st.integers(0, 2**32))
+    @example(1, 0)
+    def test_random_forests(self, n, seed):
+        handed = Handed()
+        f = handed(sample_uniform_forest(n, SeededRng(seed).generator()))
+        handed.check()
+        assert f.component_labels[1] == n - f.edge_count
+
+    # (n, seed) drawing each extreme: no edge at all, and a single tree
+    @pytest.mark.parametrize("n,seed,count", [(3, 12, 3), (4, 120, 4), (5, 1020, 5), (12, 0, 1), (40, 1, 1)])
+    def test_all_isolated_and_single_tree(self, handed, n, seed, count):
+        f = handed(sample_uniform_forest(n, SeededRng(seed).generator()))
+        assert f.component_labels[1] == count
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: Graph.from_edges(4, [(0, 1), (2, 3)]), lambda: parse_graph("4 2\n0 1\n2 3\n")],
+        ids=["from_edges", "parse_graph"],
+    )
+    def test_other_graphs_compute_their_own(self, build, monkeypatch):
+        import mdim.graph
+
+        real, calls = mdim.graph.connected_components, []
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        g = build()
+        assert "component_labels" not in vars(g)
+        monkeypatch.setattr(mdim.graph, "connected_components", counted)
+        assert forest_beta(g).beta == 2
+        smallest, count = g.component_labels
+        assert calls == [g]  # computed once, on first read
+        assert smallest.tolist() == [0, 0, 2, 2] and count == 2
+
+    def test_sampled_graphs_skip_hook_and_compress(self, monkeypatch):
+        import mdim.graph
+
+        def refuse(g):
+            raise AssertionError("connected_components ran on a sampled graph")
+
+        tree = sample_uniform_tree(300, SeededRng(4).generator())
+        forest = sample_uniform_forest(300, SeededRng(4).generator())
+        monkeypatch.setattr(mdim.graph, "connected_components", refuse)
+        assert slater_tree_beta(tree).beta >= 1
+        assert forest_beta(forest).beta >= 1
+
+    def test_exact_still_rejects_a_triangle(self, tmp_path, capsys):
+        from mdim.cli import main
+
+        path = tmp_path / "triangle.txt"
+        path.write_text("3 3\n0 1\n1 2\n0 2\n")
+        assert main(["exact", "--graph", str(path)]) == 2
+        assert "graph contains a cycle" in capsys.readouterr().err

@@ -57,6 +57,12 @@ def dist12():
     return series_system(12, at_y=True)
 
 
+def test_system_cache_ignores_call_form():
+    # one cache entry per (order, at_y), however the call spells them
+    assert series_system(12) is series_system(12, at_y=False)
+    assert series_system(12, True) is series_system(12, at_y=True)
+
+
 class TestSolveP:
     def test_first_coefficient_is_u(self, sys12):
         assert sys12.P.count_poly(1) == U
@@ -168,17 +174,10 @@ ORDER_45_SHA256 = {
 
 
 @pytest.mark.parametrize("argv", list(ORDER_45_SHA256), ids=" ".join)
-def test_order_45_output_pinned(argv, system45, monkeypatch, capsys):
-    import mdim.series
+def test_order_45_output_pinned(argv, system45, capsys):
+    # `series` finds the session's bivariate chain in the series_system cache
     from mdim.cli import main
 
-    real = mdim.series.series_system
-
-    def build(order, at_y=False):  # bivariate `series` builds afresh; reuse the session's system
-        assert order == 45
-        return real(order, at_y=True) if at_y else system45
-
-    monkeypatch.setattr(mdim.series, "series_system", build)
     assert main(list(argv)) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == ORDER_45_SHA256[argv]
@@ -319,19 +318,7 @@ class TestBetaDistribution:
 
 
 class TestTriangleOfTruth:
-    @pytest.mark.parametrize("n", range(2, 8))
-    def test_exact_pmf_vs_both_oracles(self, n, dist12):
-        hist_slater = Counter()
-        hist_brute = Counter()
-        total = 0
-        for t in enumerate_trees(n):
-            hist_slater[slater_tree_beta(t).beta] += 1
-            hist_brute[brute_force_beta(t).beta] += 1
-            total += 1
-        pmf = beta_distribution(dist12.T, n).pmf
-        assert {b: F(c, total) for b, c in hist_slater.items()} == pmf
-        assert hist_slater == hist_brute
-
+    # n = 2..7 is exhausted by tests/test_acceptance.py::test_criterion_4_oracle_triangle
     def test_n8_slater_exhaustive_brute_sampled(self, dist12):
         # slater covers all 8^6 trees of n = 8 and brute force a fixed slice;
         # the exhaustive brute-force pass stops at n = 7
