@@ -14,8 +14,8 @@ T = (1-x) S(x/(1-x)), and finally forests G, built only when read.  The
 chain is written once; its marks u and v are parameters, and their ring
 decides how every count is held:
 
-- `UVPoly`, a dict from (deg_u, deg_v) to an int, for the bivariate chain
-  of `mdim series`.
+- `UVPoly`, a dict from (deg_u, deg_v), packed into the one int key
+  deg_u << 16 | deg_v, to an int, for the bivariate chain of `mdim series`.
 - `YPoly`, for the chain that `mdim dist` and `mdim series --at-y` read,
   with u = y and v = 1/y.  A Laurent polynomial sum_k c_k y^k is one Python
   int, its value at y = 2^B, sum_k c_k 2^(B (k - lo)), with its low exponent
@@ -23,9 +23,17 @@ decides how every count is held:
   operation, and the value is exact whatever B is.  The slot width B is
   fixed per chain by `_slot_width(order)`.
 
-Each ring has one read, `terms`: a dict from the ring's own exponent,
-(deg_u, deg_v) or the power of y, to its integer count.  So the y-collapse
-is decided in one place, the marks u and v that `series_system` passes.
+A ring supplies +, -, *, `scale`, `exact_div`, `const`, `tightened`, `terms`
+and `dot`.  Each ring has one read, `terms`: a dict from the ring's own
+exponent, (deg_u, deg_v) or the power of y, to its integer count.  So the
+y-collapse is decided in one place, the marks u and v that `series_system`
+passes.
+
+Each x^n count of a product is the binomial convolution
+sum_k C(n, k) a_k b_(n-k).  `_conv` lists its weighted pairs once, with the
+mirrored pairs of a square folded into one of double weight, and hands them
+to the ring's `dot(pairs)`, which sums w * x * y into one accumulator: one
+dict for `UVPoly`, whose `*` is `dot` of one pair, and one int for `YPoly`.
 
 Only reading a `YPoly` back (`terms`, `exact_div`) needs every
 |c_k| < 2^(B-1), so that B-bit slots hold them without carries.  Each
@@ -33,9 +41,10 @@ Only reading a `YPoly` back (`terms`, `exact_div`) needs every
 products multiply bounds, sums add them, `scale` multiplies by |s| and
 `exact_div` divides.  A decode raises AssertionError unless the bound is
 below 2^(B-1), so a too-narrow slot fails loudly and never gives a wrong
-coefficient.  `_conv` decodes each count it returns once and resets its
-bound to the exact l1 norm, which keeps the bounds within a few bits of the
-true counts.
+coefficient.  `YPoly.dot` adds |w| times the product of the bounds for each
+pair.  `_conv` then calls `tightened` on the sum, which decodes it once and
+resets its bound to the exact l1 norm: one decode per count keeps the bounds
+within a few bits of the true counts.
 """
 
 from __future__ import annotations
@@ -47,41 +56,66 @@ from math import comb, factorial
 
 Key = tuple[int, int]  # (power of u, power of v)
 
+# A `UVPoly` keeps the term u^a v^b under the one int a << _DEG_BITS | b, so
+# the key of a product is the sum of its factors' keys.  That sum carries
+# from deg_v into deg_u only if a product's deg_v reaches 2^16.  u and v each
+# mark one vertex, so the x^n count of every series in the chain, and every
+# product that `_conv` forms for it, has deg_u <= n and deg_v <= n: within
+# `MAX_ORDER` = 100 no product comes near the field.  With deg_u < 2^14 a
+# key is also one 30-bit CPython digit.
+_DEG_BITS = 16
+_DEG_MASK = (1 << _DEG_BITS) - 1  # the largest degree the constructor accepts
+
 
 class UVPoly:
-    """Polynomial in (u, v) with exact coefficients; zero terms are dropped."""
+    """Polynomial in (u, v) with exact coefficients; zero terms are dropped.
 
-    __slots__ = ("terms",)
+    `_terms` maps the packed key deg_u << _DEG_BITS | deg_v to its coefficient;
+    `terms` unpacks it.
+    """
+
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[Key, object] | None = None):
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
+        packed = {}
+        for (a, b), c in (terms or {}).items():
+            if not (0 <= a <= _DEG_MASK and 0 <= b <= _DEG_MASK):
+                raise ValueError(f"degree ({a}, {b}) outside 0..{_DEG_MASK}")
+            if c:
+                packed[a << _DEG_BITS | b] = c
+        self._terms = packed
 
     @classmethod
     def _raw(cls, terms: dict) -> "UVPoly":
         poly = object.__new__(cls)
-        poly.terms = terms
+        poly._terms = terms
         return poly
+
+    @property
+    def terms(self) -> dict[Key, object]:
+        """The nonzero coefficients, keyed by (deg_u, deg_v)."""
+        return {(k >> _DEG_BITS, k & _DEG_MASK): c for k, c in self._terms.items()}
 
     def const(self, c: int) -> "UVPoly":
         """The constant c in this ring."""
-        return UVPoly._raw({(0, 0): c} if c else {})
+        return UVPoly._raw({0: c} if c else {})
 
     def tightened(self) -> "UVPoly":
         """Itself: a dict has nothing to decode or bound (see `YPoly.tightened`)."""
         return self
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, UVPoly) and self.terms == other.terms
+        return isinstance(other, UVPoly) and self._terms == other._terms
 
     def __repr__(self) -> str:
         return f"UVPoly({self.terms!r})"
 
     def __add__(self, other: "UVPoly") -> "UVPoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
+        out = dict(self._terms)
+        for k, c in other._terms.items():
             s = out.get(k, 0) + c
             if s:
                 out[k] = s
@@ -93,31 +127,34 @@ class UVPoly:
         return self + other.scale(-1)
 
     def __mul__(self, other: "UVPoly") -> "UVPoly":
-        if not self.terms or not other.terms:
-            return _P_ZERO
-        out: dict[Key, object] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return UVPoly._raw(out)
+        return self.dot(((self, other, 1),))
+
+    def dot(self, pairs) -> "UVPoly":
+        """sum w * x * y over the triples (x, y, w), into one dict."""
+        out: dict[int, object] = {}
+        get = out.get
+        for x, y, w in pairs:
+            ys = y._terms.items()
+            for k1, c1 in x._terms.items():
+                c1 *= w
+                for k2, c2 in ys:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+        return UVPoly._raw({k: c for k, c in out.items() if c})
 
     def scale(self, s) -> "UVPoly":
         if not s:
             return _P_ZERO
-        return UVPoly._raw({k: c * s for k, c in self.terms.items()})
+        return UVPoly._raw({k: c * s for k, c in self._terms.items()})
 
     def exact_div(self, d: int) -> "UVPoly":
         """Divide integer coefficients by d; a remainder is an internal error."""
-        out: dict[Key, object] = {}
-        for k, c in self.terms.items():
+        out: dict[int, object] = {}
+        for k, c in self._terms.items():
             q, r = divmod(c, d)
             if r:
-                raise AssertionError(f"coefficient {c} of {k} not divisible by {d}")
+                key = (k >> _DEG_BITS, k & _DEG_MASK)
+                raise AssertionError(f"coefficient {c} of {key} not divisible by {d}")
             out[k] = q
         return UVPoly._raw(out)
 
@@ -213,6 +250,18 @@ class YPoly:
             raise ValueError(f"slot widths {self.width} and {other.width} differ")
         return YPoly._raw(self.val * other.val, self.lo + other.lo, self.bound * other.bound, self.width)
 
+    def dot(self, pairs) -> "YPoly":
+        """sum w * x * y over the triples (x, y, w), into one int aligned at the lowest lo."""
+        width = self.width
+        lo = min((x.lo + y.lo for x, y, _ in pairs), default=0)
+        val = bound = 0
+        for x, y, w in pairs:
+            if x.width != width or y.width != width:
+                raise ValueError(f"slot widths {x.width} and {y.width} differ from {width}")
+            val += x.val * y.val * w << width * (x.lo + y.lo - lo)
+            bound += x.bound * y.bound * abs(w)
+        return YPoly._raw(val, lo, bound, width)
+
     def scale(self, s: int) -> "YPoly":
         return YPoly._raw(self.val * s, self.lo, self.bound * abs(s), self.width)
 
@@ -260,7 +309,7 @@ class TruncatedSeries:
     def coefficient(self, n: int) -> dict[Key | int, Fraction]:
         """[x^n] as exact rationals, keyed as the counts' `terms`."""
         den = factorial(n)
-        return {k: Fraction(c) / den for k, c in self.count_poly(n).terms.items()}
+        return {k: Fraction(c, den) for k, c in self.count_poly(n).terms.items()}
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -309,13 +358,19 @@ class TruncatedSeries:
 
 
 def _conv(a: list[_Coeff], b: list[_Coeff], n: int) -> _Coeff:
-    """n! [x^n] of the product of two series given by their counts a and b."""
-    acc = a[0].const(0)
-    for k in range(n + 1):
-        x, y = a[k], b[n - k]
-        if x and y:
-            acc = acc + (x * y).scale(comb(n, k))
-    return acc.tightened()
+    """n! [x^n] of the product of two series given by their counts a and b.
+
+    The pairs (a_k, b_(n-k)) with no zero factor go to the ring's `dot` with
+    weight C(n, k).  A square (a is b) sends each mirrored pair k < n - k once,
+    with weight 2 C(n, k), plus the middle pair for even n.
+    """
+    if a is b:
+        pairs = [(a[k], a[n - k], 2 * comb(n, k)) for k in range((n + 1) // 2) if a[k] and a[n - k]]
+        if not n % 2 and a[n // 2]:
+            pairs.append((a[n // 2], a[n // 2], comb(n, n // 2)))
+    else:
+        pairs = [(a[k], b[n - k], comb(n, k)) for k in range(n + 1) if a[k] and b[n - k]]
+    return a[0].dot(pairs).tightened()
 
 
 def x_times(order: int, poly: _Coeff, power: int = 1) -> TruncatedSeries:

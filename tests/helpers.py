@@ -3,17 +3,17 @@ counts, and the reference oracles the library is checked against: the
 resolving-set check, the per-leaf Slater walk, the set-based edge check, the
 BFS component partition, the scalar pair-index decoder, the tuple-list
 Pruefer decoder, the word-by-word big-integer draw, tree enumeration,
-generic series composition, the pointed series of the dissymmetry theorem,
-the y-collapse of a bivariate count, the term-by-term series for C(c), the
-mobile series' partial sums, a finite-difference stencil for rho, and a CSV
-reader for `mdim mc` output."""
+generic series composition, the count-by-count product of two series, the
+pointed series of the dissymmetry theorem, the y-collapse of a bivariate
+count, the term-by-term series for C(c), the mobile series' partial sums, a
+finite-difference stencil for rho, and a CSV reader for `mdim mc` output."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from itertools import product
-from math import factorial, isqrt
+from math import comb, factorial, isqrt
 from typing import Iterator
 
 import mpmath
@@ -270,6 +270,18 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
         nxt[0] = nxt[0] + a[m]
         res = nxt
     return TruncatedSeries(N, [res[n].scale(factorial(n)) for n in range(N + 1)])
+
+
+def conv_oracle(a: list, b: list, n: int):
+    """n! [x^n] of the product of the series with counts a and b, one
+    product, one scaled copy and one sum per pair: the check on `_conv`,
+    which hands its weighted pairs to the ring's `dot` instead."""
+    acc = a[0].const(0)
+    for k in range(n + 1):
+        x, y = a[k], b[n - k]
+        if x and y:
+            acc = acc + (x * y).scale(comb(n, k))
+    return acc.tightened()
 
 
 def pointed_series(sys_: SeriesSystem) -> tuple[TruncatedSeries, TruncatedSeries]:

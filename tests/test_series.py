@@ -7,12 +7,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import compose, enumerate_trees, pointed_series, y_collapse
+from helpers import compose, conv_oracle, enumerate_trees, pointed_series, y_collapse
 from mdim.metric_dimension import brute_force_beta, forest_beta, slater_tree_beta
 from mdim.series import (
+    _DEG_MASK,
     TruncatedSeries,
     UVPoly,
     YPoly,
+    _conv,
     beta_distribution,
     series_system,
     tree_series,
@@ -166,6 +168,16 @@ ORDER_45_SHA256 = {
         "d23ac8166c8576aa51c64011f484468e5bcb01b8b5621654651a219e6eed5549",
     ("series", "--order", "45", "--which", "G"):
         "e53f381728c264b87fcbecc570af4664fa69a532a22f18844b9611426f1837bb",
+    ("series", "--order", "45", "--which", "P"):
+        "c068f0ea83ac5c26aedddcb94334e4424bec1cec7d24a92a194a758e439a874e",
+    ("series", "--order", "45", "--which", "U"):
+        "cfe6b711ab5d068697d59b25f7db4216e432c188fe265ca59b36925a8bea1c22",
+    ("series", "--order", "45", "--which", "V"):
+        "53f37399b196c91eb841b62cfa15d1a66a3207ef2b3a94e66dd7a2a9d7f99679",
+    ("series", "--order", "45", "--which", "S"):
+        "96608ed12e25310ae073e2b85468127be55380edcc7add6a0bf1ab0c614da247",
+    ("series", "--order", "45", "--which", "T", "--at-y"):
+        "9917e582ce3cce1f2aa645db1c5fb64d676daeb5a78c87a44cda99aa69e62f83",
     ("dist", "--model", "tree", "--n", "45"):
         "ab9cd52442bf89b3a619a6935cd18b122a41f4e94f1c400045b7c63b32503463",
     ("dist", "--model", "forest", "--n", "45"):
@@ -480,3 +492,82 @@ class TestPackedRing:
         for n in range(order + 1):
             assert sum(sys_.T.count_poly(n).terms.values()) == (n ** (n - 2) if n >= 2 else n), n
             assert sum(sys_.G.count_poly(n).terms.values()) == f[n], n
+
+
+# the counts of two series at order 6, so n runs over odd and even values
+uv_counts = st.lists(small_polys, min_size=7, max_size=7)
+# products of `laurent` counts summed with weights C(6, k) stay below 2^50
+y_counts = st.lists(laurent.map(lambda d: YPoly(d, 64)), min_size=7, max_size=7)
+
+
+class TestDot:
+    @given(st.one_of(st.tuples(uv_counts, uv_counts), st.tuples(y_counts, y_counts)))
+    def test_conv_matches_the_pair_by_pair_sum(self, ab):
+        a, b = ab
+        for n in range(len(a)):
+            want = conv_oracle(a, b, n)
+            got = _conv(a, b, n)
+            assert got == want and got.terms == want.terms, n
+            # a square folds its mirrored pairs; a copy of the list does not
+            square = _conv(a, a, n)
+            assert square == _conv(a, list(a), n) == conv_oracle(a, list(a), n), n
+            assert square.terms == conv_oracle(a, list(a), n).terms, n
+
+    @given(y_counts, y_counts, st.integers(0, 6))
+    def test_y_dot_bound_covers_its_l1_norm(self, a, b, n):
+        d = a[0].dot([(a[k], b[n - k], math.comb(n, k)) for k in range(n + 1)])
+        l1 = sum(map(abs, d.terms.values()))
+        assert d.bound >= l1
+        assert d.tightened().bound == l1
+
+    def test_y_dot_keeps_the_decode_guard(self):
+        # (2^32 + 1)^2 > 2^63: the sum's bound stops the decode, in `dot` as in `*`
+        wide = YPoly({0: 2**32, 1: 1}, 64)
+        with pytest.raises(AssertionError):
+            wide.dot([(wide, wide, 1)]).terms
+        with pytest.raises(AssertionError):
+            _conv([wide], [wide], 0)
+
+    def test_y_dot_rejects_mixed_widths(self):
+        a, b = YPoly({0: 1}, 64), YPoly({1: 1}, 128)
+        with pytest.raises(ValueError):
+            a * b
+        with pytest.raises(ValueError):
+            a.dot([(a, b, 1)])
+        with pytest.raises(ValueError):
+            b.dot([(a, a, 1)])
+        with pytest.raises(ValueError):
+            _conv([a, a], [b, b], 1)
+
+
+# degrees next to 0 and next to the largest one a `UVPoly` key holds
+edge_degrees = st.one_of(st.integers(0, 3), st.integers(_DEG_MASK - 3, _DEG_MASK))
+# degrees whose pairwise sums still fit the field
+half_degrees = st.one_of(st.integers(0, 3), st.integers(_DEG_MASK // 2 - 3, _DEG_MASK // 2))
+
+
+def _uv_polys(degrees):
+    return st.dictionaries(st.tuples(degrees, degrees), st.integers(-3, 3), max_size=5)
+
+
+class TestPackedKeys:
+    @given(_uv_polys(edge_degrees))
+    def test_terms_round_trip(self, d):
+        assert UVPoly(d).terms == {k: c for k, c in d.items() if c}
+
+    @pytest.mark.parametrize("key", [(-1, 0), (0, -1), (_DEG_MASK + 1, 0), (0, _DEG_MASK + 1)])
+    def test_degree_outside_the_field_raises(self, key):
+        with pytest.raises(ValueError):
+            UVPoly({key: 1})
+
+    @given(_uv_polys(half_degrees), _uv_polys(half_degrees))
+    def test_product_adds_degrees(self, d, e):
+        want = Counter()
+        for (a1, b1), c1 in d.items():
+            for (a2, b2), c2 in e.items():
+                want[a1 + a2, b1 + b2] += c1 * c2
+        assert (UVPoly(d) * UVPoly(e)).terms == {k: c for k, c in want.items() if c}
+
+    def test_exact_div_names_the_degrees(self):
+        with pytest.raises(AssertionError, match=r"of \(0, 2\) not divisible by 2"):
+            UVPoly({(1, 0): 6, (0, 2): 3}).exact_div(2)
