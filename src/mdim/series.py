@@ -506,11 +506,12 @@ class SeriesSystem:
         return forest_series(self.T, self.u, self.v)
 
 
-# Bivariate `series` needs the cap: its tree chain takes 0.3-0.45 s at order 45
-# and 0.6-0.67 s at 50, and `--which G` adds 1.0-1.7 s and 1.9-2.7 s for the
-# forest exponential, growing about like order^6.5.  The packed y-collapsed
-# chain of `dist` and `series --at-y` takes 0.06-0.1 + 0.03-0.05 s (G) at
-# order 50 and 2.4-3.2 + 1.2-1.5 s at 100 (Python 3.11, 2-core x86-64 host).
+# Bivariate `series` needs the cap: its tree chain takes 0.21-0.25 s at order
+# 45 and 0.30-0.37 s at 50, and `--which G` adds 0.87-1.09 s and 1.6-2.1 s for
+# the forest exponential, so the whole build nearly doubles from 45 to 50.  The
+# packed y-collapsed chain of `dist` and `series --at-y` takes 0.07-0.08 +
+# 0.03-0.04 s (G) at order 50 and 2.2-3.0 + 1.4-1.8 s at 100 (Python 3.11,
+# 2-core x86-64 host shared with other jobs).
 MAX_ORDER = 100
 
 
