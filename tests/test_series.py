@@ -509,9 +509,8 @@ class TestDot:
             got = _conv(a, b, n)
             assert got == want and got.terms == want.terms, n
             # a square folds its mirrored pairs; a copy of the list does not
-            square = _conv(a, a, n)
-            assert square == _conv(a, list(a), n) == conv_oracle(a, list(a), n), n
-            assert square.terms == conv_oracle(a, list(a), n).terms, n
+            square, unfolded = _conv(a, a, n), conv_oracle(a, list(a), n)
+            assert square == _conv(a, list(a), n) == unfolded and square.terms == unfolded.terms, n
 
     @given(y_counts, y_counts, st.integers(0, 6))
     def test_y_dot_bound_covers_its_l1_norm(self, a, b, n):
