@@ -154,61 +154,55 @@ def cmd_mc(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="mdim", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("exact", help="metric dimension of a forest (linear time)")
+def _graph_args(p) -> None:
     p.add_argument("--graph", required=True)
-    p.set_defaults(func=cmd_exact)
 
-    p = sub.add_parser("brute", help="metric dimension by exhaustive search")
-    p.add_argument("--graph", required=True)
+
+def _brute_args(p) -> None:
+    _graph_args(p)
     p.add_argument("--cap", type=int)  # default BRUTE_CAP, read in cmd_brute: parsing loads no numpy
-    p.set_defaults(func=cmd_brute)
 
-    p = sub.add_parser("sample-tree", help="uniform random labelled tree")
-    p.add_argument("--n", type=int, required=True)
+
+def _seed_args(p) -> None:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--stream", type=int, default=0)
-    p.set_defaults(func=cmd_sample_tree)
 
-    p = sub.add_parser("sample-forest", help="uniform random labelled forest")
+
+def _sample_args(p) -> None:
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--stream", type=int, default=0)
-    p.set_defaults(func=cmd_sample_forest)
+    _seed_args(p)
 
-    p = sub.add_parser("sample-gnp", help="Erdos-Renyi G(n,p); --c means p=c/n")
+
+def _gnp_args(p) -> None:
     p.add_argument("--n", type=int, required=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--c", type=float)
     g.add_argument("--p", type=float)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--stream", type=int, default=0)
-    p.set_defaults(func=cmd_sample_gnp)
+    _seed_args(p)
 
-    p = sub.add_parser("series", help="exact series coefficients as rationals")
+
+def _series_args(p) -> None:
     p.add_argument("--order", type=int, default=12)
     p.add_argument("--which", choices=["P", "U", "V", "S", "T", "G"], default="T")
     p.add_argument("--at-y", action="store_true", dest="at_y")
-    p.set_defaults(func=cmd_series)
 
-    p = sub.add_parser("dist", help="exact distribution of the metric dimension")
+
+def _dist_args(p) -> None:
     p.add_argument("--model", choices=["tree", "forest"], required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("constants", help="limiting constants of the uniform model")
-    p.set_defaults(func=cmd_constants)
 
-    p = sub.add_parser("c-curve", help="CSV table of the G(n,p) mean constant")
+def _no_args(p) -> None:
+    pass
+
+
+def _c_curve_args(p) -> None:
     p.add_argument("--min", type=float, default=0.0)
     p.add_argument("--max", type=float, default=0.99)
     p.add_argument("--step", type=float, default=0.01)
-    p.set_defaults(func=cmd_c_curve)
 
-    p = sub.add_parser("mc", help="Monte Carlo experiment")
+
+def _mc_args(p) -> None:
     p.add_argument("--model", choices=["uniform-tree", "uniform-forest", "gnp"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--replicates", type=int, default=100)
@@ -218,12 +212,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--assert", action="store_true", dest="assert_tolerances")
-    p.set_defaults(func=cmd_mc)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `mdim` parser. When `command` names a subcommand, only that
+    subparser is built; otherwise all of them, for the top-level help and
+    errors."""
+    # each subcommand once: name, help line, argument adder, handler (looked
+    # up here, at call time)
+    table = (
+        ("exact", "metric dimension of a forest (linear time)", _graph_args, cmd_exact),
+        ("brute", "metric dimension by exhaustive search", _brute_args, cmd_brute),
+        ("sample-tree", "uniform random labelled tree", _sample_args, cmd_sample_tree),
+        ("sample-forest", "uniform random labelled forest", _sample_args, cmd_sample_forest),
+        ("sample-gnp", "Erdos-Renyi G(n,p); --c means p=c/n", _gnp_args, cmd_sample_gnp),
+        ("series", "exact series coefficients as rationals", _series_args, cmd_series),
+        ("dist", "exact distribution of the metric dimension", _dist_args, cmd_dist),
+        ("constants", "limiting constants of the uniform model", _no_args, cmd_constants),
+        ("c-curve", "CSV table of the G(n,p) mean constant", _c_curve_args, cmd_c_curve),
+        ("mc", "Monte Carlo experiment", _mc_args, cmd_mc),
+    )
+    chosen = [row for row in table if row[0] == command] or table
+    # one subparser alone still names them all in the top-level usage line
+    metavar = "{" + ",".join(row[0] for row in table) + "}" if len(chosen) == 1 else None
+    ap = argparse.ArgumentParser(prog="mdim", description=__doc__)
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_, add_args, func in chosen:
+        p = sub.add_parser(name, help=help_)
+        add_args(p)
+        p.set_defaults(func=func)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -44,11 +44,10 @@ def _randbelow(rng: np.random.Generator, bound: int) -> int:
     words = (bits + 63) // 64
     excess = words * 64 - bits
     while True:
-        r = 0
-        # the same words rng.integers(0, 2**64, size=words, dtype=np.uint64) draws
-        for w in rng.bit_generator.random_raw(words).tolist():
-            r = (r << 64) | w
-        r >>= excess
+        # the same words rng.integers(0, 2**64, size=words, dtype=np.uint64)
+        # draws, the first most significant
+        raw = rng.bit_generator.random_raw(words)[::-1].astype("<u8", copy=False)
+        r = int.from_bytes(raw.tobytes(), "little") >> excess
         if r < bound:
             return r
 
@@ -212,11 +211,12 @@ def _pairs_from_indices(idx: np.ndarray, n: int, total: int) -> np.ndarray:
     """Invert the row-major upper-triangle enumeration of pairs (i < j):
     the (m, 2) array of pairs with the given indices."""
     rev = total - 1 - idx  # pair (i, j) counted from the end lies in row n - 2 - t
-    t = ((np.sqrt(8 * rev + 1) - 1) // 2).astype(np.int64)
-    t -= t * (t + 1) // 2 > rev  # a float sqrt below 2^53 is at most one off
-    t += (t + 1) * (t + 2) // 2 <= rev
+    # truncation is the floor: the root is non-negative
+    t = ((np.sqrt(8 * rev + 1) - 1) * 0.5).astype(np.int64)
+    t -= (t * (t + 1) >> 1) > rev  # a float sqrt below 2^53 is at most one off
+    t += ((t + 1) * (t + 2) >> 1) <= rev
     i = n - 2 - t
-    j = idx - i * (2 * n - i - 1) // 2 + i + 1
+    j = idx - (i * (2 * n - i - 1) >> 1) + i + 1
     return np.stack((i, j), axis=1)
 
 

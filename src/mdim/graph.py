@@ -92,9 +92,10 @@ class Graph:
         # as unsigned, a negative id wraps past n too
         if np.count_nonzero(arr.view(np.uint64) >= n) or np.count_nonzero(keys[1:] == keys[:-1]):
             _raise_first_offending(n, pairs, u, v)
+        sources = keys // max(n, 1)  # n = 0 has no keys
+        indices = keys - sources * n
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(np.concatenate((u, v)), minlength=n), out=indptr[1:])
-        sources, indices = np.divmod(keys, max(n, 1))  # n = 0 has no keys
+        np.cumsum(np.bincount(sources, minlength=n), out=indptr[1:])
         indptr.flags.writeable = indices.flags.writeable = sources.flags.writeable = False
         return cls(n, indptr, indices, sources)
 

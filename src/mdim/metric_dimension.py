@@ -105,7 +105,7 @@ def _solve(parts: ComponentPartition, brute_cap: int) -> ResolvingWitness:
     ptr, nbr, deg = g.indptr, g.indices, g.degrees
     mask = deg == 0
     if parts.count >= 2 and np.count_nonzero(mask):
-        mask[mask.nonzero()[0][-1]] = False
+        mask[g.n - 1 - mask[::-1].argmax()] = False  # the largest isolated vertex
     leaf, step = deg == 1, deg[nbr] == 2
     if non_tree:  # a cycle's degree-2 vertices would keep the doubling from a fixed point
         in_tree = ~parts.cyclic[parts.component_of]

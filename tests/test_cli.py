@@ -448,6 +448,95 @@ class TestMonteCarlo:
         assert err.count("\n") == 1 and not out_file.parent.exists()
 
 
+SUBCOMMANDS = ["exact", "brute", "sample-tree", "sample-forest", "sample-gnp", "series", "dist", "constants", "c-curve", "mc"]
+TOP_USAGE = """usage: mdim [-h]
+            {exact,brute,sample-tree,sample-forest,sample-gnp,series,dist,constants,c-curve,mc}
+            ...
+"""
+TOP_HELP = (
+    TOP_USAGE
+    + """
+Command-line interface: `mdim <subcommand>`.
+
+positional arguments:
+  {exact,brute,sample-tree,sample-forest,sample-gnp,series,dist,constants,c-curve,mc}
+    exact               metric dimension of a forest (linear time)
+    brute               metric dimension by exhaustive search
+    sample-tree         uniform random labelled tree
+    sample-forest       uniform random labelled forest
+    sample-gnp          Erdos-Renyi G(n,p); --c means p=c/n
+    series              exact series coefficients as rationals
+    dist                exact distribution of the metric dimension
+    constants           limiting constants of the uniform model
+    c-curve             CSV table of the G(n,p) mean constant
+    mc                  Monte Carlo experiment
+
+options:
+  -h, --help            show this help message and exit
+"""
+)
+
+
+def parser_output(capsys, parse, argv):
+    """Exit code, stdout and stderr of a parse that exits (help or usage error)."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+class TestParser:
+    """`main` builds only the subparser that argv[0] names; what it prints
+    must equal what the parser with every subcommand prints."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_named_command_builds_one_subparser(self):
+        from mdim.cli import build_parser
+
+        for name in SUBCOMMANDS:
+            (sub,) = build_parser(name)._subparsers._group_actions
+            assert list(sub.choices) == [name]
+        (sub,) = build_parser()._subparsers._group_actions
+        assert list(sub.choices) == SUBCOMMANDS
+
+    # --help, an unknown option (the top-level usage error) and, where the
+    # command has one, a missing required option (the subcommand's)
+    @pytest.mark.parametrize(
+        "argv",
+        [[name, flag] for name in SUBCOMMANDS for flag in ("--help", "--nope")]
+        + [[name] for name in SUBCOMMANDS if name not in ("series", "constants", "c-curve")]
+        + [["sample-gnp", "--n", "5"], ["sample-gnp", "--n", "5", "--c", "1", "--p", "0.2"], ["mc", "--model", "x", "--n", "3"]],
+    )
+    def test_subcommand_output_equals_full_parser(self, capsys, argv):
+        from mdim.cli import build_parser
+
+        full = parser_output(capsys, build_parser().parse_args, argv)
+        assert parser_output(capsys, main, argv) == full
+        assert full[0] == (0 if "--help" in argv else 2)
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--help"], (0, TOP_HELP, "")),
+            ([], (2, "", TOP_USAGE + "mdim: error: the following arguments are required: command\n")),
+            (
+                ["bogus"],
+                (
+                    2,
+                    "",
+                    TOP_USAGE + "mdim: error: argument command: invalid choice: 'bogus' (choose from "
+                    + ", ".join(f"'{name}'" for name in SUBCOMMANDS) + ")\n",
+                ),
+            ),
+        ],
+    )
+    def test_top_level_output(self, capsys, argv, expected):
+        assert parser_output(capsys, main, argv) == expected
+
+
 def fresh_python_stdout(code):
     """stdout of `code` run by a new interpreter that imports mdim from src/."""
     import os

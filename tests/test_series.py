@@ -4,6 +4,7 @@ import math
 from collections import Counter
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,21 +27,26 @@ V = UVPoly({(0, 1): 1})
 ONE = UVPoly({(0, 0): 1})
 
 
+def prufer_degrees(n):
+    """The (n, n^(n-2)) degree table of all labelled trees on n >= 2 vertices,
+    one column per Pruefer sequence in `enumerate_trees` order: a vertex's
+    degree is 1 plus its number of occurrences in the sequence."""
+    seqs = np.indices((n,) * (n - 2)).reshape(n - 2, n ** (n - 2))  # one sequence per column
+    return 1 + (seqs[:, None, :] == np.arange(n)[:, None]).sum(axis=0)
+
+
 def count_mobiles(n):
     """Rooted trees with a root half-edge and no degree-2 vertices.
 
     The half-edge counts toward the root's degree, so the root may not be a
-    tree-leaf (n >= 2) and no other vertex may have tree-degree 2.
+    tree-leaf (n >= 2) and no other vertex may have tree-degree 2: a root
+    qualifies when its degree is not 1 and it holds every degree 2 there is.
     """
     if n == 1:
         return 1
-    total = 0
-    for t in enumerate_trees(n):
-        deg = [t.degree(v) for v in range(n)]
-        for r in range(n):
-            if deg[r] != 1 and all(deg[v] != 2 for v in range(n) if v != r):
-                total += 1
-    return total
+    deg = prufer_degrees(n)
+    twos = (deg == 2).sum(axis=0)
+    return int(np.count_nonzero((deg != 1) & (twos == (deg == 2))))
 
 
 def valuation(series):
@@ -90,9 +96,12 @@ class TestSolveP:
         P11 = TruncatedSeries(N, counts)
         assert (P11.exp() - P11).shift_x() == P11
 
-    def test_counts_match_enumeration(self, sys12):
-        from math import factorial
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_prufer_degrees_match_trees(self, n):
+        expected = [t.degrees.tolist() for t in enumerate_trees(n)]
+        assert prufer_degrees(n).T.tolist() == expected
 
+    def test_counts_match_enumeration(self, sys12):
         for n in range(1, 9):
             got = sum(sys12.P.count_poly(n).terms.values())
             assert got == count_mobiles(n), n

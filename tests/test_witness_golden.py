@@ -12,6 +12,7 @@ statistics among them.
 import contextlib
 import hashlib
 import io
+import json
 from itertools import combinations
 
 import pytest
@@ -308,6 +309,10 @@ GNP_SHA256 = {
 # --format json --seed 4`
 MC_GNP_SHA256 = "ce72780a8b1b6209aa6dfa288d75145b6396e836ec3a2566e895b1b275796c9b"
 
+# the same for `--c 0.9 --n 4000 --replicates 100`, near the critical point:
+# 31 replicates are excluded, and small cyclic components go to brute force
+MC_GNP_CRITICAL_SHA256 = "67dbc6ad0bae34348737ad34547f183ae7051d0d1e13dfaf86fa85b2e6db8559"
+
 # the same for `mdim mc --model M --n N --replicates 50 --format json --seed 4`
 MC_UNIFORM_SHA256 = {
     ("uniform-tree", 1000): "0bddc43a3929a5cd2383b4468f5c53096dafe78bbe0cbaf9c4ca019d1009d9a2",
@@ -492,6 +497,13 @@ def test_mc_gnp_output():
     argv = ["mc", "--model", "gnp", "--c", "0.5", "--n", "10000", "--replicates", "30"]
     text = cli_stdout(*argv, "--format", "json", "--seed", "4")
     assert hashlib.sha256(text.encode()).hexdigest() == MC_GNP_SHA256
+
+
+def test_mc_gnp_critical_output():
+    argv = ["mc", "--model", "gnp", "--c", "0.9", "--n", "4000", "--replicates", "100"]
+    text = cli_stdout(*argv, "--format", "json", "--seed", "4")
+    assert json.loads(text)["summary"]["excluded"] == 31
+    assert hashlib.sha256(text.encode()).hexdigest() == MC_GNP_CRITICAL_SHA256
 
 
 @pytest.mark.parametrize("model,n", sorted(MC_UNIFORM_SHA256))
