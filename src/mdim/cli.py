@@ -218,8 +218,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The `mdim` parser. When `command` names a subcommand, only that
     subparser is built; otherwise all of them, for the top-level help and
     errors."""
-    # each subcommand once: name, help line, argument adder, handler (looked
-    # up here, at call time)
+    # each subcommand once: name, help line, argument adder, handler; built
+    # on each call, so a handler replaced on the module is the one used
     table = (
         ("exact", "metric dimension of a forest (linear time)", _graph_args, cmd_exact),
         ("brute", "metric dimension by exhaustive search", _brute_args, cmd_brute),
