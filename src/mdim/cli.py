@@ -44,19 +44,13 @@ def _emit_graph(g) -> None:
     sys.stdout.write(serialize_graph(g))
 
 
-def cmd_sample_tree(args) -> int:
-    from .generators import SeededRng, sample_uniform_tree
+def cmd_sample_uniform(args) -> int:
+    """`sample-tree` and `sample-forest`: the uniform sampler the command names."""
+    from .generators import SeededRng, sample_uniform_forest, sample_uniform_tree
 
+    sample = sample_uniform_tree if args.command == "sample-tree" else sample_uniform_forest
     rng = SeededRng(args.seed, args.stream).generator()
-    _emit_graph(sample_uniform_tree(args.n, rng))
-    return 0
-
-
-def cmd_sample_forest(args) -> int:
-    from .generators import SeededRng, sample_uniform_forest
-
-    rng = SeededRng(args.seed, args.stream).generator()
-    _emit_graph(sample_uniform_forest(args.n, rng))
+    _emit_graph(sample(args.n, rng))
     return 0
 
 
@@ -223,8 +217,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     table = (
         ("exact", "metric dimension of a forest (linear time)", _graph_args, cmd_exact),
         ("brute", "metric dimension by exhaustive search", _brute_args, cmd_brute),
-        ("sample-tree", "uniform random labelled tree", _sample_args, cmd_sample_tree),
-        ("sample-forest", "uniform random labelled forest", _sample_args, cmd_sample_forest),
+        ("sample-tree", "uniform random labelled tree", _sample_args, cmd_sample_uniform),
+        ("sample-forest", "uniform random labelled forest", _sample_args, cmd_sample_uniform),
         ("sample-gnp", "Erdos-Renyi G(n,p); --c means p=c/n", _gnp_args, cmd_sample_gnp),
         ("series", "exact series coefficients as rationals", _series_args, cmd_series),
         ("dist", "exact distribution of the metric dimension", _dist_args, cmd_dist),

@@ -101,14 +101,15 @@ class Graph:
 
     @cached_property
     def component_labels(self) -> tuple[np.ndarray, int]:
-        """Each vertex's smallest label, read-only, and the component count:
-        the partition `connected_components` computes on first read, unless
-        the sampler that built the graph filled it in (`_with_components`).
-        Holds the arrays, not a `ComponentPartition`, which would point back
-        at the graph."""
-        parts = connected_components(self)
-        parts.smallest.flags.writeable = False
-        return parts.smallest, parts.count
+        """Each vertex's smallest label, read-only, and the component count,
+        computed by hook-and-compress on first read unless the sampler that
+        built the graph filled them in (`_with_components`).  Holds the
+        arrays, not a `ComponentPartition`, which would point back at the
+        graph."""
+        half = self.sources < self.indices
+        smallest = _smallest_labels(self.n, self.sources[half], self.indices[half])
+        smallest.flags.writeable = False
+        return smallest, int(np.count_nonzero(smallest == np.arange(self.n)))
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
@@ -245,24 +246,17 @@ def _smallest_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def connected_components(g: Graph) -> ComponentPartition:
-    """Partition into components, each classified by shape, computed afresh
-    by hook-and-compress."""
-    half = g.sources < g.indices
-    smallest = _smallest_labels(g.n, g.sources[half], g.indices[half])
-    return ComponentPartition(g, smallest, int(np.count_nonzero(smallest == np.arange(g.n))))
-
-
-def partition(g: Graph) -> ComponentPartition:
-    """`g`'s component partition from `Graph.component_labels`: the one its
-    sampler handed over, else `connected_components(g)` once per graph."""
+    """Partition into components, each classified by shape, from
+    `Graph.component_labels`: the labels the sampler handed over, else
+    hook-and-compress, run at most once per graph."""
     return ComponentPartition(g, *g.component_labels)
 
 
 def _with_components(g: Graph, smallest: np.ndarray, count: int) -> Graph:
     """`g` carrying the partition its builder knows by construction: each
     vertex's smallest label (int64) and the component count.  The caller
-    vouches for it; the tests check every sampler against
-    `connected_components`."""
+    vouches for it; the tests check every sampler against hook-and-compress
+    on a freshly built graph."""
     smallest.flags.writeable = False
     g.__dict__["component_labels"] = (smallest, count)  # where the cached_property keeps its value
     return g

@@ -18,8 +18,8 @@ from .graph import (
     Graph,
     GraphError,
     bfs_distances,
+    connected_components,
     induced_subgraph,
-    partition,
 )
 
 
@@ -132,10 +132,10 @@ def slater_tree_beta(t: Graph) -> ResolvingWitness:
     Single vertex: 1 (by convention).  Path: 1, witnessed by an endpoint.
     Otherwise |L| - |K|, witnessed by the leaves minus the smallest-labelled
     leaf attached to each important vertex.  The tree checks (k = 1, and
-    k = n - m) run on the partition from `partition`, the sampler's own for
-    a uniform tree.
+    k = n - m) run on `connected_components`, which reads the partition a
+    uniform tree's sampler handed over.
     """
-    parts = partition(t)
+    parts = connected_components(t)
     if parts.count != 1:
         raise NotATreeError(f"graph has {parts.count} components, a tree has 1")
     if not parts.is_forest:
@@ -147,7 +147,7 @@ def forest_beta(f: Graph) -> ResolvingWitness:
     """Metric dimension of a forest (composition of per-tree values)."""
     if f.n == 0:
         raise NotAForestError("empty graph")
-    parts = partition(f)
+    parts = connected_components(f)
     if not parts.is_forest:
         raise NotAForestError("graph contains a cycle")
     return _solve(parts, 0)
@@ -166,7 +166,7 @@ def graph_beta(g: Graph, brute_cap: int = BRUTE_CAP) -> ResolvingWitness:
     """
     if g.n == 0:
         raise GraphError("empty graph")
-    return _solve(partition(g), brute_cap)
+    return _solve(connected_components(g), brute_cap)
 
 
 def check_brute_size(n: int, size_cap: int) -> None:

@@ -140,7 +140,8 @@ def checked_adjacency(n: int, edges) -> tuple[tuple[int, ...], ...]:
 def bfs_partition(g: Graph):
     """Components by breadth-first search from each unvisited vertex in
     increasing order, as (assignment, components, kinds): the oracle for the
-    hook-and-compress labelling in `connected_components`."""
+    hook-and-compress labelling in `Graph.component_labels`, read through
+    `connected_components`."""
     assignment = [-1] * g.n
     components: list[tuple[int, ...]] = []
     kinds: list[ComponentKind] = []

@@ -42,11 +42,12 @@ def edge_key(g):
 
 
 class Handed:
-    """Checks the partition each sampled graph carries against a fresh
-    `connected_components`: each smallest label, its dtype, and the count.
+    """Checks the partition each sampled graph carries against hook-and-compress
+    on a freshly built graph: each smallest label, its dtype, and the count.
 
     Graphs are checked in batches, by one `connected_components` over the
-    disjoint union of the batch: its smallest labels are each graph's,
+    disjoint union of the batch, built anew by `Graph.from_edges` so that no
+    sampler hands it labels: its smallest labels are each graph's,
     shifted by the graph's offset, and its roots in each block are that
     graph's count.  So a law test that draws 10^5 graphs pays one
     hook-and-compress per batch, not one per graph.
@@ -57,7 +58,7 @@ class Handed:
         self.held = []  # arrays only: holding the graphs, with their `adj` tuples, slows the collector
 
     def __call__(self, g):
-        # filled in by the sampler; read first, the property would run connected_components itself
+        # filled in by the sampler; read first, the property would run hook-and-compress itself
         assert "component_labels" in vars(g)
         self.held.append((g.n, g.sources, g.indices, *g.component_labels))
         if len(self.held) >= self.batch:
@@ -377,7 +378,7 @@ class TestDeterminism:
             assert serialize_graph(a) == serialize_graph(b)
             if hands_partition:
                 handed(a)
-            else:  # G(n,p) leaves its partition to connected_components
+            else:  # G(n,p) leaves its partition to hook-and-compress in `Graph.component_labels`
                 assert "component_labels" not in vars(a)
 
     def test_streams_differ(self, handed):
@@ -426,29 +427,30 @@ class TestHandedPartition:
     def test_other_graphs_compute_their_own(self, build, monkeypatch):
         import mdim.graph
 
-        real, calls = mdim.graph.connected_components, []
+        real, calls = mdim.graph._smallest_labels, []
 
-        def counted(g):
-            calls.append(g)
-            return real(g)
+        def counted(n, u, v):
+            calls.append(n)
+            return real(n, u, v)
 
         g = build()
         assert "component_labels" not in vars(g)
-        monkeypatch.setattr(mdim.graph, "connected_components", counted)
+        monkeypatch.setattr(mdim.graph, "_smallest_labels", counted)
         assert forest_beta(g).beta == 2
         smallest, count = g.component_labels
-        assert calls == [g]  # computed once, on first read
+        assert connected_components(g).count == 2
+        assert calls == [4]  # hook-and-compress ran once, on first read
         assert smallest.tolist() == [0, 0, 2, 2] and count == 2
 
     def test_sampled_graphs_skip_hook_and_compress(self, monkeypatch):
         import mdim.graph
 
-        def refuse(g):
-            raise AssertionError("connected_components ran on a sampled graph")
+        def refuse(n, u, v):
+            raise AssertionError("hook-and-compress ran on a sampled graph")
 
         tree = sample_uniform_tree(300, SeededRng(4).generator())
         forest = sample_uniform_forest(300, SeededRng(4).generator())
-        monkeypatch.setattr(mdim.graph, "connected_components", refuse)
+        monkeypatch.setattr(mdim.graph, "_smallest_labels", refuse)
         assert slater_tree_beta(tree).beta >= 1
         assert forest_beta(forest).beta >= 1
 
