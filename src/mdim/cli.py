@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 
 def _read_graph(path: str):
@@ -65,7 +64,8 @@ def cmd_sample_gnp(args) -> int:
     return 0
 
 
-def _frac(x: Fraction) -> str:
+def _frac(x) -> str:
+    """A Fraction as "p/q", or "p" when it is whole."""
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 

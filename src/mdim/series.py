@@ -45,11 +45,14 @@ coefficient.  `YPoly.dot` adds |w| times the product of the bounds for each
 pair.  `_conv` then calls `tightened` on the sum, which decodes it once and
 resets its bound to the exact l1 norm: one decode per count keeps the bounds
 within a few bits of the true counts.
+
+`mdim.cli` and this module, the numpy-free path of `mdim series` and `mdim
+dist`, import no `dataclasses`, which loads `inspect`, `ast`, `dis` and
+`tokenize` (about 6 ms); modules that import numpy, which loads `inspect`, may.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
 from math import comb, factorial
@@ -440,12 +443,11 @@ def forest_series(T: TruncatedSeries, u: _Coeff, v: _Coeff) -> TruncatedSeries:
     return core * iso + x_times(N, u * (one - v))
 
 
-@dataclass(frozen=True)
 class BetaDistribution:
     """Exact distribution of the metric dimension at size n."""
 
-    n: int
-    pmf: dict[int, Fraction]
+    def __init__(self, n: int, pmf: dict[int, Fraction]):
+        self.n, self.pmf = n, pmf
 
     def mean(self) -> Fraction:
         return sum((Fraction(b) * p for b, p in self.pmf.items()), Fraction(0))
@@ -470,22 +472,22 @@ def beta_distribution(series: TruncatedSeries, n: int) -> BetaDistribution:
     return BetaDistribution(n, pmf)
 
 
-@dataclass(frozen=True)
 class SeriesSystem:
     """The chain at one truncation order, each series built at most once.
 
-    The tree chain P -> S -> T is solved on construction.  U, V and G are
-    leaves that nothing else in the chain reads, so each is built on its
-    first read.
+    u marks leaves and v non-leaf vertices (y and 1/y in the y-collapsed
+    chain); E = exp(P) is a by-product of solving for P.  The tree chain
+    P -> S -> T is solved on construction.  U, V and G are leaves that
+    nothing else in the chain reads, so each is built on its first read and
+    cached in the instance `__dict__`.
     """
 
-    order: int
-    u: _Coeff  # the leaf mark: u, or y in the y-collapsed chain
-    v: _Coeff  # the non-leaf mark: v, or 1/y
-    P: TruncatedSeries
-    E: TruncatedSeries  # exp(P), a by-product of solving for P
-    S: TruncatedSeries
-    T: TruncatedSeries
+    def __init__(
+        self, order: int, u: _Coeff, v: _Coeff,
+        P: TruncatedSeries, E: TruncatedSeries, S: TruncatedSeries, T: TruncatedSeries,
+    ):
+        self.order, self.u, self.v = order, u, v
+        self.P, self.E, self.S, self.T = P, E, S, T
 
     @cached_property
     def _exp_A(self) -> TruncatedSeries:

@@ -2,10 +2,11 @@
 counts, and the reference oracles the library is checked against: the
 resolving-set check, the per-leaf Slater walk, the set-based edge check, the
 BFS component partition, the scalar pair-index decoder, the tuple-list
-Pruefer decoder, the word-by-word big-integer draw, tree enumeration,
-generic series composition, the count-by-count product of two series, the
-pointed series of the dissymmetry theorem, the y-collapse of a bivariate
-count, the term-by-term series for C(c), the mobile series' partial sums, a
+Pruefer decoder, the word-by-word big-integer draw, Takacs' closed form and
+the recurrence for the forest counts, tree enumeration, generic series
+composition, the count-by-count product of two series, the pointed series
+of the dissymmetry theorem, the y-collapse of a bivariate count, the
+term-by-term series for C(c), the mobile series' partial sums, a
 finite-difference stencil for rho, and a CSV reader for `mdim mc` output."""
 
 from __future__ import annotations
@@ -341,12 +342,34 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
 def forest_counts_recurrence(n: int) -> tuple[list[int], list[int]]:
     """Tree counts t_0..t_n and forest counts f_0..f_n from the recurrence
     f_m = sum_k C(m-1,k-1) t_k f_(m-k) (peel off the component of the
-    smallest label); the oracle for the closed form in `forest_counts`."""
+    smallest label); the oracle for the table `forest_counts` builds."""
     t = [0] + [k ** (k - 2) if k > 1 else 1 for k in range(1, n + 1)]
     f = [1] + [0] * n
     for m in range(1, n + 1):
         f[m] = sum(math.comb(m - 1, k - 1) * t[k] * f[m - k] for k in range(1, m + 1))
     return t, f
+
+
+def forest_count_takacs(m: int) -> int:
+    """Labelled forests on m vertices, by Takacs' closed form (1990):
+
+        (m+1) f_m = sum_{j <= m/2} (-1)^j (2j+1) C(m,2j) (2j-1)!! (m+1)^(m-2j),
+
+    evaluated by Horner's rule in (m+1)^2 with c_j = C(m,2j) (2j-1)!!; the
+    oracle for the Hermite recurrence in `_forest_count`.
+    """
+    x = (m + 1) ** 2
+    c = acc = 1
+    for j in range(1, m // 2 + 1):
+        c = c * (m - 2 * j + 2) * (m - 2 * j + 1) // (2 * j)
+        term = (2 * j + 1) * c
+        acc = acc * x + (-term if j & 1 else term)
+    if m & 1:
+        return acc  # the odd power (m+1)^1 cancels the division
+    f, rem = divmod(acc, m + 1)
+    if rem:
+        raise AssertionError(f"closed form for f_{m} not divisible by {m + 1}")
+    return f
 
 
 def sum_c_series(c, m, tol):

@@ -602,6 +602,32 @@ class TestDependencies:
         )
         assert fresh_python_stdout(code) == "[0, 0, 0, 0] False []\n"
 
+    @pytest.mark.parametrize(
+        "argv", [["dist", "--model", "forest", "--n", "6"], ["series", "--order", "6", "--which", "T"]]
+    )
+    def test_series_commands_leave_out_dataclasses(self, argv):
+        # dataclasses loads inspect, ast, dis and tokenize: about 6 ms of each command
+        code = (
+            "import contextlib, io, sys\n"
+            "from mdim.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = main({argv!r})\n"
+            "print(rc, [m for m in ('dataclasses', 'inspect', 'numpy') if m in sys.modules])"
+        )
+        assert fresh_python_stdout(code) == "0 []\n"
+
+    def test_mc_leaves_out_fractions(self):
+        # only the exact commands print rationals
+        code = (
+            "import contextlib, io, sys\n"
+            "from mdim.cli import main\n"
+            "argv = ['mc', '--model', 'uniform-forest', '--n', '20', '--replicates', '5']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = main(argv)\n"
+            "print(rc, 'fractions' in sys.modules)"
+        )
+        assert fresh_python_stdout(code) == "0 False\n"
+
     def test_third_party_imports_are_declared(self):
         import ast
         import re

@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 from helpers import (
     chi_square_ok,
     enumerate_trees,
+    forest_count_takacs,
     forest_counts_recurrence,
     pair_from_index,
     prufer_edges_walk,
@@ -16,6 +17,7 @@ from helpers import (
 from mdim.generators import (
     ForestCountTable,
     SeededRng,
+    _forest_count,
     _pairs_from_indices,
     _prufer_edges,
     _randbelow,
@@ -234,6 +236,23 @@ class TestForestCounts:
         tab = forest_counts(200)
         t, f = forest_counts_recurrence(200)
         assert tab.t == tuple(t) and tab.f == tuple(f)
+
+    def test_matches_takacs(self):
+        assert forest_counts(300).f == tuple(forest_count_takacs(m) for m in range(301))
+
+    @pytest.mark.parametrize("m", [500, 1000, 2000])
+    def test_matches_takacs_large(self, m):
+        assert _forest_count(m) == forest_count_takacs(m)
+
+    def test_cumweights_match_comb_sum(self):
+        full = forest_counts(60)
+        tab = ForestCountTable(full.t, full.f)  # no weights cached by other tests
+        for m in range(1, 61):
+            want, acc = [], 0
+            for k in range(m, 0, -1):
+                acc += math.comb(m - 1, k - 1) * tab.t[k] * tab.f[m - k]
+                want.append(acc)
+            assert tab.component_cumweights(m) == want
 
     def test_oeis_a001858(self):
         assert forest_counts(10).f == (
