@@ -51,36 +51,86 @@ def _randbelow(rng: np.random.Generator, bound: int) -> int:
             return r
 
 
-def _prufer_edges(seq: Sequence[int] | np.ndarray) -> np.ndarray:
-    """The (n-1, 2) int64 edges of the labelled tree on n = len(seq) + 2 vertices
-    with Pruefer sequence `seq`: the leaf removed at each step, joined to the
-    sequence entry of that step, and the last leaf joined to n-1."""
-    arr = np.asarray(seq)
-    n = arr.size + 2
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
-        raise ValueError(f"expected a 1-D integer sequence, got {arr.dtype} {arr.shape}")
-    if arr.size and (arr.min() < 0 or arr.max() >= n):
-        bad = (arr < 0) | (arr >= n)
-        raise ValueError(f"sequence entry {arr[bad.argmax()]} out of range for n={n}")
-    edges = np.empty((n - 1, 2), dtype=np.int64)
-    edges[:-1, 1] = arr
-    edges[-1, 1] = n - 1
-    rest = np.bincount(edges[:-1, 1], minlength=n).tolist()  # occurrences not yet consumed
-    leaves = [0] * (n - 1)
-    ptr = 0  # smallest vertex never yet used as the removed leaf
-    leaf = -1
-    for i, x in enumerate(arr.tolist()):
-        if leaf < 0:
-            while rest[ptr]:
-                ptr += 1
-            leaf = ptr
-            ptr += 1
-        leaves[i] = leaf
-        rest[x] -= 1
-        # chain directly when x became a leaf below the scan pointer
-        leaf = x if not rest[x] and x < ptr else -1
-    leaves[-1] = leaf if leaf >= 0 else ptr  # every count is now 0: ptr is a leaf
-    edges[:, 0] = leaves
+# Rounds of the fixed point in `_prufer_edges`, counting the final check: at
+# most 5 were seen on random sequences up to n = 10^6, and about log2(n) + 1
+# on the descending sequence n-1, ..., 2: 20 at n = 10^6 (MAX_VERTICES).
+PRUFER_MAX_ROUNDS = 64
+
+
+def _prufer_edges(seqs: np.ndarray, sizes) -> np.ndarray:
+    """Decode the Pruefer sequences of several labelled trees, concatenated in
+    `seqs`: tree j has sizes[j] >= 2 vertices and sizes[j] - 2 entries, each
+    in 0..sizes[j]-1.  Returns the (sum(sizes) - len(sizes), 2) int64 edges of
+    their disjoint union: tree j's labels are shifted by the sizes before it,
+    and its rows follow theirs.  In each tree, row t joins the leaf removed
+    at step t to entry t, and the last row joins the last leaf to the tree's
+    top label, sizes[j] - 1.
+
+    All trees are decoded by one fixed point over last occurrences, in array
+    passes (Greenlaw & Petreschi, Discrete Appl. Math. 2000).  In one tree,
+    let r(v) be the last step at which v is an entry.  A chain vertex leaves
+    at step r(v) + 1, as soon as it is a leaf; the other vertices below the
+    top, the pool, take the remaining steps in increasing order.  Steps
+    0..r(v) leave r(v) + 1 - #{chain w : r(w) < r(v)} steps to the pool, and
+    v - #{chain w : w < v} pool vertices lie below v.  So v is a chain vertex
+    when r(v) >= 0, v is not the top, and its slack r(v) + 1 - v exceeds
+    #{chain w : r(w) < r(v)} - #{chain w : w < v}: every pool vertex below v
+    has left before v becomes a leaf.  With global steps t and labels v, tree
+    j's slack is t + 1 - v + 2j; the chain vertices of earlier trees count on
+    both sides of the test and those of later trees on neither, so the trees
+    do not interact.  The test is iterated from the set with slack > 0 until
+    the chain set stops changing.
+
+    Any fixed point is the true decode, in which each step removes the
+    smallest leaf.  A chain vertex leaves at the step after its last
+    occurrence, when it is a leaf and every pool vertex below it has gone; a
+    smaller chain vertex is by then gone or not yet a leaf.  A pool vertex
+    fails the test, so it leaves after its last occurrence; smaller pool
+    vertices left before it, and a smaller chain vertex that is a leaf left at
+    the step after its last occurrence, which is not a pool step.
+
+    Termination is not proved: past PRUFER_MAX_ROUNDS rounds an
+    AssertionError is raised.
+    """
+    seqs = np.asarray(seqs, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    trees = sizes.size
+    ends = sizes.cumsum()
+    total = int(ends[-1]) if trees else 0
+    tops = ends - 1
+    tree_of = np.repeat(np.arange(trees), sizes - 2)  # the tree of each entry
+    entries = seqs + (ends - sizes)[tree_of]
+    steps = np.arange(entries.size)
+    last = np.zeros(total, dtype=np.int64) - 1
+    np.maximum.at(last, entries, steps)
+    last[tops] = -1
+    cand = (last[entries] == steps).nonzero()[0]  # the candidates' last steps, in order
+    v = entries[cand]
+    slack = cand + 1 - v + 2 * tree_of[cand]
+    chain = slack > 0
+    marks = np.zeros(total + 1, dtype=np.int64)
+    for _ in range(PRUFER_MAX_ROUNDS):
+        marks[v + 1] = chain
+        below = marks.cumsum()[v]  # chain vertices with smaller labels
+        before = chain.cumsum() - chain  # chain vertices whose last step is earlier
+        settled = slack > before - below
+        if not (settled != chain).any():
+            break
+        chain = settled
+    else:
+        raise AssertionError(f"Pruefer decode did not settle in {PRUFER_MAX_ROUNDS} rounds")
+    edges = np.empty((total - trees, 2), dtype=np.int64)
+    left = v[chain]
+    slots = cand[chain] + tree_of[cand[chain]] + 1
+    edges[slots, 0] = left
+    taken = np.zeros(total - trees, dtype=bool)
+    taken[slots] = True
+    pool = np.zeros(total, dtype=bool)
+    pool[left] = True
+    pool[tops] = True
+    edges[~taken, 0] = (~pool).nonzero()[0]
+    edges[steps + tree_of, 1] = entries
+    edges[tops - 1 - np.arange(trees), 1] = tops  # each tree's last row
     return edges
 
 
@@ -90,19 +140,26 @@ def _tree(n: int, edges) -> Graph:
     return _with_components(Graph.from_edges(n, edges), np.zeros(n, dtype=np.int64), 1)
 
 
-def prufer_decode(seq: Sequence[int] | np.ndarray) -> Graph:
-    """Decode a Pruefer sequence of length n-2 into the labelled tree on n >= 2 vertices."""
-    return _tree(len(seq) + 2, _prufer_edges(seq))
-
-
-def sample_uniform_tree(n: int, rng: np.random.Generator) -> Graph:
-    """Uniform labelled tree on n vertices (single vertex for n=1)."""
+def sample_uniform_trees(n: int, rngs: Sequence[np.random.Generator]) -> list[Graph]:
+    """Uniform labelled trees on n vertices, one per generator (a single
+    vertex for n = 1).  Each generator draws its tree's Pruefer sequence in
+    turn, and one `_prufer_edges` call decodes them all."""
     if n < 1:
         raise ValueError("n must be >= 1")
     check_vertex_limit(n)
     if n == 1:
-        return _tree(1, [])
-    return prufer_decode(rng.integers(0, n, size=n - 2))
+        return [_tree(1, []) for _ in rngs]
+    seqs = np.empty((len(rngs), n - 2), dtype=np.int64)
+    for row, rng in zip(seqs, rngs):
+        row[:] = rng.integers(0, n, size=n - 2)
+    edges = _prufer_edges(seqs.ravel(), np.full(len(rngs), n)).reshape(len(rngs), n - 1, 2)
+    edges -= n * np.arange(len(rngs)).reshape(-1, 1, 1)
+    return [_tree(n, e) for e in edges]
+
+
+def sample_uniform_tree(n: int, rng: np.random.Generator) -> Graph:
+    """Uniform labelled tree on n vertices (single vertex for n=1)."""
+    return sample_uniform_trees(n, [rng])[0]
 
 
 @dataclass(frozen=True)
@@ -167,40 +224,59 @@ def forest_counts(n: int) -> ForestCountTable:
     return ForestCountTable(tuple(t), tuple(f))
 
 
-def sample_uniform_forest(n: int, rng: np.random.Generator) -> Graph:
-    """Uniform labelled forest on n vertices.
+def sample_uniform_forests(n: int, rngs: Sequence[np.random.Generator]) -> list[Graph]:
+    """Uniform labelled forests on n vertices, one per generator.
 
-    Peels off the component containing the smallest unused label, whose size k
-    has probability C(m-1,k-1) t_k f_{m-k} / f_m among m remaining labels; the
-    component itself is then a uniform tree on its label set.  The counts
-    come from the `forest_counts` cache, built on the first call for n.
-    The forest carries its partition: each anchor is the smallest label of
-    its component.
+    Each forest peels off the component containing the smallest unused label,
+    whose size k has probability C(m-1,k-1) t_k f_{m-k} / f_m among m
+    remaining labels; the component itself is then a uniform tree on its
+    label set, drawn as its Pruefer sequence.  Each generator makes all of
+    its forest's draws in turn, and one `_prufer_edges` call then decodes
+    every component of the batch.  The counts come from the `forest_counts`
+    cache, built on the first call for n.  Each forest carries its partition:
+    each anchor is the smallest label of its component.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     table = forest_counts(n)
-    available = np.arange(n)
-    parts = [np.empty((0, 2), dtype=np.int64)]
-    smallest = np.arange(n)  # an isolated vertex is its own anchor
-    count = 0
-    while available.size:
-        count += 1
-        m = available.size
-        cums = table.component_cumweights(m)
-        r = _randbelow(rng, table.f[m])
-        k = m - bisect_right(cums, r)
-        if k == 1:
-            available = available[1:]
-        else:
-            taken = np.zeros(m, dtype=bool)
-            taken[0] = True  # the anchor, then k-1 distinct others
-            taken[rng.choice(m - 1, size=k - 1, replace=False) + 1] = True
-            members = available[taken]
-            available = available[~taken]
-            smallest[members] = members[0]
-            parts.append(members[_prufer_edges(rng.integers(0, k, size=k - 2))])
-    return _with_components(Graph.from_edges(n, np.concatenate(parts)), smallest, count)
+    labels = [np.empty(0, dtype=np.int64)]  # each tree's labels in the forest, tree by tree
+    seqs = [np.empty(0, dtype=np.int64)]
+    sizes = []
+    partitions = []
+    for rng in rngs:
+        available = np.arange(n)
+        smallest = np.arange(n)  # an isolated vertex is its own anchor
+        count = 0
+        while available.size:
+            count += 1
+            m = available.size
+            cums = table.component_cumweights(m)
+            r = _randbelow(rng, table.f[m])
+            k = m - bisect_right(cums, r)
+            if k == 1:
+                available = available[1:]
+            else:
+                taken = np.zeros(m, dtype=bool)
+                taken[0] = True  # the anchor, then k-1 distinct others
+                taken[rng.choice(m - 1, size=k - 1, replace=False) + 1] = True
+                members = available[taken]
+                available = available[~taken]
+                smallest[members] = members[0]
+                labels.append(members)
+                seqs.append(rng.integers(0, k, size=k - 2))
+                sizes.append(k)
+        partitions.append((smallest, count))
+    edges = np.concatenate(labels)[_prufer_edges(np.concatenate(seqs), sizes)]
+    ends = np.cumsum([n - count for _, count in partitions])  # a forest has n - count edges
+    return [
+        _with_components(Graph.from_edges(n, part), smallest, count)
+        for part, (smallest, count) in zip(np.split(edges, ends[:-1]), partitions)
+    ]
+
+
+def sample_uniform_forest(n: int, rng: np.random.Generator) -> Graph:
+    """Uniform labelled forest on n vertices (`sample_uniform_forests`)."""
+    return sample_uniform_forests(n, [rng])[0]
 
 
 def _pairs_from_indices(idx: np.ndarray, n: int, total: int) -> np.ndarray:

@@ -2,7 +2,7 @@
 counts, and the reference oracles the library is checked against: the
 resolving-set check, the per-leaf Slater walk, the set-based edge check, the
 BFS component partition, the scalar pair-index decoder, the tuple-list
-Pruefer decoder, the word-by-word big-integer draw, Takacs' closed form and
+Pruefer decoder and the checked one-sequence decode, the word-by-word big-integer draw, Takacs' closed form and
 the recurrence for the forest counts, tree enumeration, generic series
 composition, the count-by-count product of two series, the pointed series
 of the dissymmetry theorem, the y-collapse of a bivariate count, the
@@ -23,7 +23,7 @@ from scipy.optimize import brentq
 from scipy.stats import chi2
 
 from mdim.asymptotics import _c_closed, _relation, tree_constants
-from mdim.generators import prufer_decode
+from mdim.generators import _prufer_edges, _tree
 from mdim.graph import ComponentKind, ComponentPartition, Graph, GraphError, bfs_distances, induced_subgraph
 from mdim.metric_dimension import ComponentTooLargeError, ResolvingWitness, brute_force_beta
 from mdim.series import SeriesSystem, TruncatedSeries, UVPoly, series_system, x_times
@@ -184,9 +184,22 @@ def pair_from_index(idx: int, n: int, total: int) -> tuple[int, int]:
     return i, j
 
 
+def prufer_decode(seq) -> Graph:
+    """Decode one Pruefer sequence of length n-2 into the labelled tree on
+    n >= 2 vertices, checking each entry first."""
+    arr = np.asarray(seq)
+    n = arr.size + 2
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise ValueError(f"expected a 1-D integer sequence, got {arr.dtype} {arr.shape}")
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        bad = (arr < 0) | (arr >= n)
+        raise ValueError(f"sequence entry {arr[bad.argmax()]} out of range for n={n}")
+    return _tree(n, _prufer_edges(arr.astype(np.int64), [n]))
+
+
 def prufer_edges_walk(seq) -> list[tuple[int, int]]:
     """Edges of the labelled tree with Pruefer sequence `seq`, one (leaf, entry)
-    tuple per step from a degree count: the oracle for the edge array of
+    tuple per step from a degree count: the oracle for the edge arrays of
     `_prufer_edges`."""
     n = len(seq) + 2
     deg = [1] * n
@@ -332,11 +345,16 @@ def y_collapse(poly: UVPoly) -> dict[int, int]:
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
-    """All n^(n-2) labelled trees on n vertices, 2 <= n <= 8."""
+    """All n^(n-2) labelled trees on n vertices, 2 <= n <= 8, in the
+    lexicographic order of their Pruefer sequences, decoded in one call."""
     if not 2 <= n <= 8:
         raise ValueError(f"enumeration supported for 2 <= n <= 8, got {n}")
-    for seq in product(range(n), repeat=n - 2):
-        yield prufer_decode(seq)
+    seqs = np.array(list(product(range(n), repeat=n - 2)), dtype=np.int64)
+    trees = len(seqs)
+    edges = _prufer_edges(seqs.ravel(), np.full(trees, n)).reshape(trees, n - 1, 2)
+    edges -= n * np.arange(trees).reshape(-1, 1, 1)
+    for e in edges:
+        yield _tree(n, e)
 
 
 def forest_counts_recurrence(n: int) -> tuple[list[int], list[int]]:

@@ -177,7 +177,7 @@ class TestSamplers:
             raise AssertionError("sampler called past the vertex limit")
 
         monkeypatch.setattr(generators.SeededRng, "generator", lambda self: NoDraws())
-        monkeypatch.setattr(experiments, "sample_uniform_tree", no_sample)
+        monkeypatch.setattr(experiments, "sample_uniform_trees", no_sample)
         monkeypatch.setattr(experiments, "sample_gnp", no_sample)
         n = MAX_VERTICES + 1
         assert main([*argv, "--n", str(n)]) == 2
@@ -439,7 +439,7 @@ class TestMonteCarlo:
         def no_sample(*args):
             raise AssertionError("replicate sampled for an unwritable --out")
 
-        monkeypatch.setattr(experiments, "sample_uniform_tree", no_sample)
+        monkeypatch.setattr(experiments, "sample_uniform_trees", no_sample)
         out_file = tmp_path / "missing" / "r.csv"
         argv = ["mc", "--model", "uniform-tree", "--n", "1000", "--replicates", "300", "--out", str(out_file)]
         assert main(argv) == 2

@@ -203,6 +203,52 @@ class TestRunExperiment:
         assert not check_tolerances(res)
 
 
+class TestUniformChunks:
+    """Uniform replicates are sampled a chunk at a time, at most
+    UNIFORM_CHUNK_VERTICES vertices per chunk; replicate i is still the
+    graph a single call draws from stream i."""
+
+    @staticmethod
+    def single_betas(cfg):
+        from mdim.generators import SeededRng, sample_uniform_forest, sample_uniform_tree
+        from mdim.metric_dimension import forest_beta, slater_tree_beta
+
+        if cfg.model == "uniform-tree":
+            sample, solve = sample_uniform_tree, slater_tree_beta
+        else:
+            sample, solve = sample_uniform_forest, forest_beta
+        return [solve(sample(cfg.n, SeededRng(cfg.seed, i).generator())).beta for i in range(cfg.replicates)]
+
+    @pytest.mark.parametrize(
+        "model,n,replicates,chunks",
+        [
+            ("uniform-tree", 1000, 10, [4, 4, 2]),
+            ("uniform-forest", 500, 11, [8, 3]),
+            ("uniform-tree", 5000, 3, [1, 1, 1]),  # n above the chunk: a chunk of one
+            ("uniform-tree", 1, 5, [5]),
+            ("uniform-forest", 1, 5, [5]),
+        ],
+    )
+    def test_betas_match_single_draws(self, monkeypatch, model, n, replicates, chunks):
+        name = "sample_uniform_trees" if model == "uniform-tree" else "sample_uniform_forests"
+        real, sizes = getattr(experiments, name), []
+
+        def sample(n, rngs):
+            sizes.append(len(rngs))
+            return real(n, rngs)
+
+        monkeypatch.setattr(experiments, name, sample)
+        cfg = ExperimentConfig(model, n, replicates, 17)
+        assert run_experiment(cfg).betas == self.single_betas(cfg)
+        assert sizes == chunks
+
+    @pytest.mark.parametrize("model", ["uniform-tree", "uniform-forest"])
+    def test_many_chunk_boundaries(self, monkeypatch, model):
+        monkeypatch.setattr(experiments, "UNIFORM_CHUNK_VERTICES", 20)
+        cfg = ExperimentConfig(model, 6, 23, 18)  # chunks of 3: seven full, then 2
+        assert run_experiment(cfg).betas == self.single_betas(cfg)
+
+
 class TestTolerances:
     @pytest.mark.parametrize(
         "replicates,message",

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     chi_square_ok,
@@ -11,9 +11,11 @@ from helpers import (
     forest_count_takacs,
     forest_counts_recurrence,
     pair_from_index,
+    prufer_decode,
     prufer_edges_walk,
     randbelow_words,
 )
+import mdim.generators
 from mdim.generators import (
     ForestCountTable,
     SeededRng,
@@ -22,10 +24,11 @@ from mdim.generators import (
     _prufer_edges,
     _randbelow,
     forest_counts,
-    prufer_decode,
     sample_gnp,
     sample_uniform_forest,
+    sample_uniform_forests,
     sample_uniform_tree,
+    sample_uniform_trees,
 )
 from mdim.graph import (
     MAX_EDGES,
@@ -41,6 +44,26 @@ from mdim.metric_dimension import forest_beta, slater_tree_beta
 
 def edge_key(g):
     return tuple(g.edges())
+
+
+def batched(sample, n, rng, total, batch=10_000):
+    """`total` graphs from the batch entry `sample`, all drawn from `rng` in
+    turn, `batch` at a time: the draws of `total` single calls."""
+    for start in range(0, total, batch):
+        yield from sample(n, [rng] * min(batch, total - start))
+
+
+def decoded(seqs):
+    """The edges one `_prufer_edges` call gives for these sequences, each
+    tree's rows shifted back to its own labels."""
+    sizes = np.array([len(seq) + 2 for seq in seqs], dtype=np.int64)
+    flat = np.concatenate([np.asarray(seq, dtype=np.int64) for seq in seqs])
+    return _prufer_edges(flat, sizes) - np.repeat(np.cumsum(sizes) - sizes, sizes - 1)[:, None]
+
+
+def walked(seqs):
+    """The oracle's edges for these sequences, concatenated."""
+    return np.array([e for seq in seqs for e in prufer_edges_walk(list(seq))], dtype=np.int64).reshape(-1, 2)
 
 
 class Handed:
@@ -122,25 +145,81 @@ class TestPruferDecode:
 
     def test_unsigned_entries(self):
         seq = np.array([3, 0, 3], dtype=np.uint64)
-        assert _prufer_edges(seq).tolist() == [list(e) for e in prufer_edges_walk([3, 0, 3])]
+        assert np.array_equal(_prufer_edges(seq, [5]), walked([[3, 0, 3]]))
+        assert edge_key(prufer_decode(seq)) == edge_key(Graph.from_edges(5, prufer_edges_walk([3, 0, 3])))
         with pytest.raises(ValueError, match="sequence entry 5 out of range"):
             prufer_decode(np.array([5, 2**64 - 1], dtype=np.uint64))
 
     def test_edges_match_walk_exhaustive(self):
+        # every sequence with n <= 8, 280,392 trees: in one call per n and all
+        # in a single call, and one tree per call up to n = 7 (at n = 8, a
+        # call per tree would take over 10 s)
         from itertools import product
 
-        for n in range(2, 8):
-            for seq in product(range(n), repeat=n - 2):
-                edges = _prufer_edges(seq)
-                assert edges.dtype == np.int64 and edges.shape == (n - 1, 2)
-                assert edges.tolist() == [list(e) for e in prufer_edges_walk(seq)], seq
+        every_seq, every_walk = [], []
+        for n in range(2, 9):
+            seqs = list(product(range(n), repeat=n - 2))
+            want = walked(seqs)
+            if n <= 7:
+                for i, seq in enumerate(seqs):
+                    edges = _prufer_edges(np.array(seq, dtype=np.int64), [n])
+                    assert edges.dtype == np.int64 and edges.shape == (n - 1, 2)
+                    assert np.array_equal(edges, want[i * (n - 1) : (i + 1) * (n - 1)]), seq
+            assert np.array_equal(decoded(seqs), want), n
+            every_seq += seqs
+            every_walk.append(want)
+        assert len(every_seq) == 280_392
+        assert np.array_equal(decoded(every_seq), np.concatenate(every_walk))
 
     @pytest.mark.parametrize("n", [8, 100, 1000, 5000])
     def test_edges_match_walk_random(self, n):
         rng = SeededRng(31, n).generator()
-        for _ in range(200 if n <= 100 else 10):
-            seq = rng.integers(0, n, size=n - 2)
-            assert _prufer_edges(seq).tolist() == [list(e) for e in prufer_edges_walk(seq.tolist())]
+        seqs = [rng.integers(0, n, size=n - 2) for _ in range(200 if n <= 100 else 10)]
+        for seq in seqs:
+            assert np.array_equal(_prufer_edges(seq, [n]), walked([seq]))
+        assert np.array_equal(decoded(seqs), walked(seqs))
+
+    @given(
+        st.lists(
+            st.integers(2, 200).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2)),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    @example([[]])
+    @example([[0] * 198, [], [199] * 198, list(range(199, 1, -1))])
+    def test_batches_match_walk(self, seqs):
+        assert np.array_equal(decoded(seqs), walked(seqs))
+
+    @settings(max_examples=8)
+    @given(
+        st.lists(
+            st.integers(201, 2000).flatmap(
+                lambda n: st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2)
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_large_batches_match_walk(self, seqs):
+        assert np.array_equal(decoded(seqs), walked(seqs))
+
+    def test_descending_sequence(self, monkeypatch):
+        # the slowest to settle seen: about log2(n) + 1 rounds
+        n = 10**5
+        seq = np.arange(n - 1, 1, -1)
+        monkeypatch.setattr(mdim.generators, "PRUFER_MAX_ROUNDS", 18)
+        assert np.array_equal(_prufer_edges(seq, [n]), walked([seq]))
+
+    def test_round_cap_raises(self, monkeypatch):
+        seq = np.arange(99, 1, -1)
+        want = walked([seq])
+        monkeypatch.setattr(mdim.generators, "PRUFER_MAX_ROUNDS", 1)
+        assert _prufer_edges(np.empty(0, dtype=np.int64), [2]).tolist() == [[0, 1]]  # settles in its one round
+        with pytest.raises(AssertionError, match="did not settle in 1 rounds"):
+            _prufer_edges(seq, [100])
+        monkeypatch.undo()
+        assert np.array_equal(_prufer_edges(seq, [100]), want)
 
     def test_decodes_are_trees(self, handed):
         for n in (5, 6, 7):
@@ -193,14 +272,14 @@ class TestUniformTree:
 
     def test_uniform_n3(self, handed):
         rng = SeededRng(42, 0).generator()
-        counts = Counter(edge_key(handed(sample_uniform_tree(3, rng))) for _ in range(100_000))
+        counts = Counter(edge_key(handed(t)) for t in batched(sample_uniform_trees, 3, rng, 100_000))
         probs = {edge_key(t): 1 / 3 for t in enumerate_trees(3)}
         assert len(counts) == 3
         assert chi_square_ok(counts, probs, 100_000)
 
     def test_uniform_n4(self, handed):
         rng = SeededRng(43, 0).generator()
-        counts = Counter(edge_key(handed(sample_uniform_tree(4, rng))) for _ in range(100_000))
+        counts = Counter(edge_key(handed(t)) for t in batched(sample_uniform_trees, 4, rng, 100_000))
         probs = {edge_key(t): 1 / 16 for t in enumerate_trees(4)}
         assert len(counts) == 16
         assert chi_square_ok(counts, probs, 100_000)
@@ -208,11 +287,7 @@ class TestUniformTree:
     def test_star_frequency_n4(self, handed):
         rng = SeededRng(44, 0).generator()
         total = 100_000
-        stars = sum(
-            1
-            for _ in range(total)
-            if max(map(len, handed(sample_uniform_tree(4, rng)).adj)) == 3
-        )
+        stars = sum(1 for t in batched(sample_uniform_trees, 4, rng, total) if max(map(len, handed(t).adj)) == 3)
         p = 4 / 16
         sigma = math.sqrt(p * (1 - p) / total)
         assert abs(stars / total - p) < 3.5 * sigma
@@ -277,14 +352,14 @@ class TestUniformForest:
     def test_two_singletons_probability(self, handed):
         rng = SeededRng(7, 0).generator()
         total = 40_000
-        empty = sum(1 for _ in range(total) if handed(sample_uniform_forest(2, rng)).edge_count == 0)
+        empty = sum(1 for f in batched(sample_uniform_forests, 2, rng, total) if handed(f).edge_count == 0)
         sigma = math.sqrt(0.25 / total)
         assert abs(empty / total - 0.5) < 3.5 * sigma
 
     def test_empty_graph_probability_n3(self, handed):
         rng = SeededRng(8, 0).generator()
         total = 70_000
-        empty = sum(1 for _ in range(total) if handed(sample_uniform_forest(3, rng)).edge_count == 0)
+        empty = sum(1 for f in batched(sample_uniform_forests, 3, rng, total) if handed(f).edge_count == 0)
         p = 1 / 7
         sigma = math.sqrt(p * (1 - p) / total)
         assert abs(empty / total - p) < 3.5 * sigma
@@ -298,9 +373,8 @@ class TestUniformForest:
         rng = SeededRng(9, 0).generator()
         total = 100_000
         counts = Counter()
-        for _ in range(total):
-            f = handed(sample_uniform_forest(6, rng))
-            parts = connected_components(f)
+        for f in batched(sample_uniform_forests, 6, rng, total):
+            parts = connected_components(handed(f))
             comp0 = parts.components[parts.component_of[0]]
             counts[len(comp0)] += 1
         assert chi_square_ok(counts, probs, total)
@@ -312,11 +386,7 @@ class TestUniformForest:
             tab = forest_counts(n)
             p = tab.f[n - 1] / tab.f[n]
             rng = SeededRng(100 + n, 0).generator()
-            hits = sum(
-                1
-                for _ in range(total)
-                if len(handed(sample_uniform_forest(n, rng)).adj[0]) == 0
-            )
+            hits = sum(1 for f in batched(sample_uniform_forests, n, rng, total) if len(handed(f).adj[0]) == 0)
             sigma = math.sqrt(p * (1 - p) / total)
             assert abs(hits / total - p) < 4 * sigma, n
 
@@ -383,6 +453,54 @@ class TestGnp:
         for u, v in g.edges():
             assert u < v
         assert g.edge_count == len(set(g.edges()))
+
+
+def same_graphs(batch, singles, handed):
+    """The graphs agree, and so do the partitions they carry."""
+    assert len(batch) == len(singles)
+    for a, b in zip(batch, singles):
+        assert serialize_graph(handed(a)) == serialize_graph(handed(b))
+        (smallest_a, count_a), (smallest_b, count_b) = a.component_labels, b.component_labels
+        assert count_a == count_b and np.array_equal(smallest_a, smallest_b)
+    return True
+
+
+class TestBatchEntries:
+    """Entry i of a batch is the graph a single call draws from generator i."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000])
+    def test_trees_match_single_draws(self, handed, n):
+        a, b = SeededRng(61, n).generator(), SeededRng(61, n).generator()
+        k = 5 if n == 1000 else 40
+        assert same_graphs(sample_uniform_trees(n, [a] * k), [sample_uniform_tree(n, b) for _ in range(k)], handed)
+        assert a.integers(0, 2**40) == b.integers(0, 2**40)  # both generators made the same draws
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_forests_match_single_draws(self, handed, n):
+        a, b = SeededRng(62, n).generator(), SeededRng(62, n).generator()
+        batch = sample_uniform_forests(n, [a] * 40)
+        assert same_graphs(batch, [sample_uniform_forest(n, b) for _ in range(40)], handed)
+        assert a.integers(0, 2**40) == b.integers(0, 2**40)
+
+    def test_one_generator_each(self, handed):
+        for sample, single, n in ((sample_uniform_trees, sample_uniform_tree, 50), (sample_uniform_forests, sample_uniform_forest, 30)):
+            batch = sample(n, [SeededRng(63, i).generator() for i in range(10)])
+            assert same_graphs(batch, [single(n, SeededRng(63, i).generator()) for i in range(10)], handed)
+
+    # (n, seed) drawing each extreme: no edge at all, and a single tree
+    @pytest.mark.parametrize("n,seed,count", [(3, 12, 3), (4, 120, 4), (5, 1020, 5), (12, 0, 1), (40, 1, 1)])
+    def test_forest_extremes_in_a_batch(self, handed, n, seed, count):
+        seeds = [seed, seed + 1, seed, seed + 2, seed]
+        batch = sample_uniform_forests(n, [SeededRng(s).generator() for s in seeds])
+        assert [f.component_labels[1] for f in batch[::2]] == [count] * 3
+        assert same_graphs(batch, [sample_uniform_forest(n, SeededRng(s).generator()) for s in seeds], handed)
+
+    def test_batches_with_no_tree_to_decode(self, handed):
+        for n, seed in ((1, 0), (3, 12)):  # every forest all isolated
+            batch = sample_uniform_forests(n, [SeededRng(seed).generator(), SeededRng(seed).generator()])
+            assert [handed(f).component_labels[1] for f in batch] == [n, n]
+            assert all(f.edge_count == 0 for f in batch)
+        assert sample_uniform_trees(5, []) == [] and sample_uniform_forests(5, []) == []
 
 
 class TestDeterminism:

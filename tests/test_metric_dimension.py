@@ -9,11 +9,12 @@ from helpers import (
     is_resolving,
     leg_counts,
     path_graph,
+    prufer_decode,
     slater_walk_witness,
     star_graph,
 )
 import mdim.metric_dimension
-from mdim.generators import SeededRng, prufer_decode, sample_gnp, sample_uniform_forest, sample_uniform_tree
+from mdim.generators import SeededRng, sample_gnp, sample_uniform_forest, sample_uniform_tree
 from mdim.graph import Graph, connected_components
 from mdim.metric_dimension import (
     BRUTE_MAX_VERTICES,
@@ -217,8 +218,6 @@ class TestOracleEquivalence:
 
     @given(st.integers(min_value=2, max_value=7), st.data())
     def test_random_trees_match(self, n, data):
-        from mdim.generators import prufer_decode
-
         seq = data.draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
         t = prufer_decode(seq)
         assert slater_tree_beta(t).beta == brute_force_beta(t).beta
@@ -228,8 +227,6 @@ class TestLegCharacterization:
     @given(st.integers(min_value=4, max_value=8), st.data())
     def test_leg_sum_equals_slater(self, n, data):
         # |L| - |K| agrees with the sum over branch vertices of (legs - 1) on non-paths
-        from mdim.generators import prufer_decode
-
         seq = data.draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
         t = prufer_decode(seq)
         if all(t.degree(v) <= 2 for v in range(t.n)):
