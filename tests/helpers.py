@@ -2,7 +2,8 @@
 counts, and the reference oracles the library is checked against: the
 resolving-set check, the per-leaf Slater walk, the set-based edge check, the
 BFS component partition, the scalar pair-index decoder, the tuple-list
-Pruefer decoder and the checked one-sequence decode, the word-by-word big-integer draw, Takacs' closed form and
+Pruefer decoder and the checked one-sequence decode, the word-by-word
+big-integer draw, Takacs' closed form and
 the recurrence for the forest counts, tree enumeration, generic series
 composition, the count-by-count product of two series, the pointed series
 of the dissymmetry theorem, the y-collapse of a bivariate count, the

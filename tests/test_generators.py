@@ -152,8 +152,8 @@ class TestPruferDecode:
 
     def test_edges_match_walk_exhaustive(self):
         # every sequence with n <= 8, 280,392 trees: in one call per n and all
-        # in a single call, and one tree per call up to n = 7 (at n = 8, a
-        # call per tree would take over 10 s)
+        # in a single call, and one tree per call up to n = 7 (at n = 8, one
+        # call per tree, about 48 us each on a 2-core x86-64 host, adds 12 s)
         from itertools import product
 
         every_seq, every_walk = [], []
