@@ -119,8 +119,8 @@ def c_curve(c_min: float, c_max: float, step: float) -> list[tuple[float, float]
     """Table of (c, C_closed(c)) on the grid c_min, c_min+step, ..., <= c_max."""
     if not (0.0 <= c_min < c_max < 1.0):
         raise ValueError("need 0 <= c_min < c_max < 1")
-    if not step > 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
     if (c_max - c_min) / step >= _MAX_GRID:
         raise ValueError(f"grid has more than {_MAX_GRID} points")
     out = []

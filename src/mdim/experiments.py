@@ -17,6 +17,7 @@ from . import asymptotics
 # wraps them by name in this module
 from .generators import (
     SeededRng,
+    check_forest_limit,
     forest_counts,
     sample_gnp,
     sample_uniform_forest,
@@ -58,6 +59,8 @@ class ExperimentConfig:
         if self.n < 1:
             raise ValueError("n must be >= 1")
         check_vertex_limit(self.n)
+        if self.model == "uniform-forest":
+            check_forest_limit(self.n)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.seed < 0:
@@ -207,33 +210,35 @@ class ExperimentResult:
         return out
 
 
-# Uniform replicates are sampled in chunks of at most this many vertices,
-# one Pruefer decode per chunk.  On a 2-core x86-64 host, `mdim mc --model
-# uniform-forest --n 500 --replicates 500` peaked at 36.5 MB RSS one
-# replicate at a time, 37.1 MB with chunks of 2^12 vertices and 46.0 MB with
-# 2^16; chunks of 2^10 ran about 10% slower than 2^12 and 2^14.
-UNIFORM_CHUNK_VERTICES = 2**12
+# Replicates are sampled in chunks of at most this many vertices, or of one
+# replicate, with one Pruefer decode per uniform chunk.  On a 2-core x86-64
+# host, `mdim mc --model uniform-forest --n 500 --replicates 500` peaked at
+# 36.5 MB RSS one replicate at a time, 37.1 MB with chunks of 2^12 vertices
+# and 46.0 MB with 2^16; chunks of 2^10 ran about 10% slower than 2^12 and 2^14.
+CHUNK_VERTICES = 2**12
 
 
-def _uniform_betas(cfg: ExperimentConfig) -> list[int]:
-    """Betas of the uniform replicates, in order, sampled a chunk at a time."""
-    per_chunk = max(1, UNIFORM_CHUNK_VERTICES // cfg.n)
+def _betas(cfg: ExperimentConfig) -> list[int | None]:
+    """Betas of the replicates, in order, sampled a chunk at a time; None
+    marks a G(n,p) replicate excluded for a component above BRUTE_CAP.  The
+    samplers and solvers are looked up at each call, so wrappers installed
+    on this module see every one."""
+    per_chunk = max(1, CHUNK_VERTICES // cfg.n)
     betas = []
     for start in range(0, cfg.replicates, per_chunk):
         rngs = [SeededRng(cfg.seed, i).generator() for i in range(start, min(start + per_chunk, cfg.replicates))]
         if cfg.model == "uniform-tree":
-            betas += [slater_tree_beta(t).beta for t in sample_uniform_trees(cfg.n, rngs)]
+            graphs, solve = sample_uniform_trees(cfg.n, rngs), slater_tree_beta
+        elif cfg.model == "uniform-forest":
+            graphs, solve = sample_uniform_forests(cfg.n, rngs), forest_beta
         else:
-            betas += [forest_beta(f).beta for f in sample_uniform_forests(cfg.n, rngs)]
+            graphs, solve = [sample_gnp(cfg.n, cfg.edge_probability(), rng) for rng in rngs], graph_beta
+        for g in graphs:
+            try:
+                betas.append(solve(g).beta)
+            except ComponentTooLargeError:  # only graph_beta raises it: a forest has no cycle
+                betas.append(None)
     return betas
-
-
-def _gnp_beta(cfg: ExperimentConfig, index: int) -> int | None:
-    g = sample_gnp(cfg.n, cfg.edge_probability(), SeededRng(cfg.seed, index).generator())
-    try:
-        return graph_beta(g).beta
-    except ComponentTooLargeError:
-        return None
 
 
 def predicted_constants(cfg: ExperimentConfig) -> dict[str, float]:
@@ -251,14 +256,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.output:
         open(cfg.output, "a").close()  # an unwritable output fails before any sampling
     if cfg.model == "uniform-forest":
-        # rejects n > MAX_FOREST_VERTICES before any sampling, and builds the
-        # cached count table here, where bench/child.py times it apart from sampling
+        # builds the cached count table here, where bench/child.py times it apart from sampling
         forest_counts(cfg.n)
-    if cfg.model == "gnp":
-        betas = [_gnp_beta(cfg, i) for i in range(cfg.replicates)]
-    else:
-        betas = _uniform_betas(cfg)
-    return ExperimentResult(cfg, betas, predicted_constants(cfg))
+    return ExperimentResult(cfg, _betas(cfg), predicted_constants(cfg))
 
 
 # ---------------------------------------------------------------------------

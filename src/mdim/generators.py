@@ -134,10 +134,20 @@ def _prufer_edges(seqs: np.ndarray, sizes) -> np.ndarray:
     return edges
 
 
-def _tree(n: int, edges) -> Graph:
-    """The tree on n vertices with these edges, carrying its partition: one
-    component, whose smallest label is 0."""
-    return _with_components(Graph.from_edges(n, edges), np.zeros(n, dtype=np.int64), 1)
+def _graphs(n: int, labels, seqs, partitions) -> list[Graph]:
+    """The graphs on n vertices whose non-trivial components, graph by graph,
+    have these label sets and Pruefer sequences, one graph per (smallest,
+    count) partition it carries.  One `_prufer_edges` call decodes every
+    component, and graph i takes the next n - count_i rows."""
+    empty = [np.empty(0, dtype=np.int64)]  # np.concatenate needs one array
+    sizes = [len(members) for members in labels]
+    edges = np.concatenate(empty + labels)[_prufer_edges(np.concatenate(empty + seqs), sizes)]
+    graphs = []
+    end = 0
+    for smallest, count in partitions:
+        start, end = end, end + n - count
+        graphs.append(_with_components(Graph.from_edges(n, edges[start:end]), smallest, count))
+    return graphs
 
 
 def sample_uniform_trees(n: int, rngs: Sequence[np.random.Generator]) -> list[Graph]:
@@ -147,14 +157,9 @@ def sample_uniform_trees(n: int, rngs: Sequence[np.random.Generator]) -> list[Gr
     if n < 1:
         raise ValueError("n must be >= 1")
     check_vertex_limit(n)
-    if n == 1:
-        return [_tree(1, []) for _ in rngs]
-    seqs = np.empty((len(rngs), n - 2), dtype=np.int64)
-    for row, rng in zip(seqs, rngs):
-        row[:] = rng.integers(0, n, size=n - 2)
-    edges = _prufer_edges(seqs.ravel(), np.full(len(rngs), n)).reshape(len(rngs), n - 1, 2)
-    edges -= n * np.arange(len(rngs)).reshape(-1, 1, 1)
-    return [_tree(n, e) for e in edges]
+    seqs = [rng.integers(0, n, size=n - 2) for rng in rngs if n > 1]
+    one = (np.zeros(n, dtype=np.int64), 1)  # read-only once handed over, so shared
+    return _graphs(n, [np.arange(n)] * len(seqs), seqs, [one] * len(rngs))
 
 
 def sample_uniform_tree(n: int, rng: np.random.Generator) -> Graph:
@@ -206,6 +211,13 @@ def _forest_count(m: int) -> int:
 MAX_FOREST_VERTICES = 2000  # forest_counts(2000) takes about 1.7 s; cost grows like n^2.9
 
 
+def check_forest_limit(n: int) -> None:
+    """Reject n outside 0..MAX_FOREST_VERTICES, before the caller builds the
+    count table or any output."""
+    if not 0 <= n <= MAX_FOREST_VERTICES:
+        raise ValueError(f"n={n} outside 0..{MAX_FOREST_VERTICES} for uniform forests")
+
+
 @lru_cache(maxsize=8)
 def forest_counts(n: int) -> ForestCountTable:
     """Big-integer tables t_k = k^(k-2) and the forest counts f_0..f_n.
@@ -215,8 +227,7 @@ def forest_counts(n: int) -> ForestCountTable:
     f_m = sum_k C(m-1,k-1) t_k f_(m-k) at every m the sampler visits.  n
     above MAX_FOREST_VERTICES is rejected up front.
     """
-    if not 0 <= n <= MAX_FOREST_VERTICES:
-        raise ValueError(f"n={n} outside 0..{MAX_FOREST_VERTICES} for uniform forests")
+    check_forest_limit(n)
     t = [0] * (n + 1)
     for k in range(1, n + 1):
         t[k] = 1 if k == 1 else k ** (k - 2)
@@ -239,9 +250,8 @@ def sample_uniform_forests(n: int, rngs: Sequence[np.random.Generator]) -> list[
     if n < 1:
         raise ValueError("n must be >= 1")
     table = forest_counts(n)
-    labels = [np.empty(0, dtype=np.int64)]  # each tree's labels in the forest, tree by tree
-    seqs = [np.empty(0, dtype=np.int64)]
-    sizes = []
+    labels = []  # each tree's labels in the forest, tree by tree
+    seqs = []
     partitions = []
     for rng in rngs:
         available = np.arange(n)
@@ -264,14 +274,8 @@ def sample_uniform_forests(n: int, rngs: Sequence[np.random.Generator]) -> list[
                 smallest[members] = members[0]
                 labels.append(members)
                 seqs.append(rng.integers(0, k, size=k - 2))
-                sizes.append(k)
         partitions.append((smallest, count))
-    edges = np.concatenate(labels)[_prufer_edges(np.concatenate(seqs), sizes)]
-    ends = np.cumsum([n - count for _, count in partitions])  # a forest has n - count edges
-    return [
-        _with_components(Graph.from_edges(n, part), smallest, count)
-        for part, (smallest, count) in zip(np.split(edges, ends[:-1]), partitions)
-    ]
+    return _graphs(n, labels, seqs, partitions)
 
 
 def sample_uniform_forest(n: int, rng: np.random.Generator) -> Graph:

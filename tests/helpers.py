@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 from scipy.stats import chi2
 
 from mdim.asymptotics import _c_closed, _relation, tree_constants
-from mdim.generators import _prufer_edges, _tree
+from mdim.generators import _graphs
 from mdim.graph import ComponentKind, ComponentPartition, Graph, GraphError, bfs_distances, induced_subgraph
 from mdim.metric_dimension import ComponentTooLargeError, ResolvingWitness, brute_force_beta
 from mdim.series import SeriesSystem, TruncatedSeries, UVPoly, series_system, x_times
@@ -195,7 +195,7 @@ def prufer_decode(seq) -> Graph:
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         bad = (arr < 0) | (arr >= n)
         raise ValueError(f"sequence entry {arr[bad.argmax()]} out of range for n={n}")
-    return _tree(n, _prufer_edges(arr.astype(np.int64), [n]))
+    return _graphs(n, [np.arange(n)], [arr.astype(np.int64)], [(np.zeros(n, dtype=np.int64), 1)])[0]
 
 
 def prufer_edges_walk(seq) -> list[tuple[int, int]]:
@@ -347,15 +347,14 @@ def y_collapse(poly: UVPoly) -> dict[int, int]:
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
     """All n^(n-2) labelled trees on n vertices, 2 <= n <= 8, in the
-    lexicographic order of their Pruefer sequences, decoded in one call."""
+    lexicographic order of their Pruefer sequences, decoded 2^12 per call."""
     if not 2 <= n <= 8:
         raise ValueError(f"enumeration supported for 2 <= n <= 8, got {n}")
-    seqs = np.array(list(product(range(n), repeat=n - 2)), dtype=np.int64)
-    trees = len(seqs)
-    edges = _prufer_edges(seqs.ravel(), np.full(trees, n)).reshape(trees, n - 1, 2)
-    edges -= n * np.arange(trees).reshape(-1, 1, 1)
-    for e in edges:
-        yield _tree(n, e)
+    seqs = list(np.array(list(product(range(n), repeat=n - 2)), dtype=np.int64))
+    one = (np.zeros(n, dtype=np.int64), 1)
+    for start in range(0, len(seqs), 2**12):  # all 8^6 trees at once would hold 130 MB more
+        chunk = seqs[start : start + 2**12]
+        yield from _graphs(n, [np.arange(n)] * len(chunk), chunk, [one] * len(chunk))
 
 
 def forest_counts_recurrence(n: int) -> tuple[list[int], list[int]]:

@@ -152,8 +152,9 @@ class TestCCurve:
             c_curve(0.5, 0.4, 0.01)
         with pytest.raises(ValueError):
             c_curve(0.0, 1.0, 0.01)
-        with pytest.raises(ValueError):
-            c_curve(0.0, 0.5, float("nan"))
+        for step in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="step must be positive and finite"):
+                c_curve(0.0, 0.5, step)
 
     def test_grid_size_cap(self):
         assert len(c_curve(0.0, 0.9999, 1e-4)) == 10_000

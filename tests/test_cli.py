@@ -143,18 +143,20 @@ class TestSamplers:
         n, m = map(int, out.splitlines()[0].split())
         assert n == 15 and m <= 14
 
-    @pytest.mark.parametrize("argv", [["sample-forest"], ["mc", "--model", "uniform-forest"]])
-    def test_forest_limit_checked_before_counting(self, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize("argv", [["sample-forest"], ["mc", "--model", "uniform-forest", "--out", "r.csv"]])
+    def test_forest_limit_checked_before_counting(self, capsys, monkeypatch, tmp_path, argv):
         from mdim import generators
 
         def no_count(m):
             raise AssertionError("forest counts built past the limit")
 
         monkeypatch.setattr(generators, "_forest_count", no_count)
+        monkeypatch.chdir(tmp_path)
         n = generators.MAX_FOREST_VERTICES + 1
         assert main([*argv, "--n", str(n)]) == 2
         err = capsys.readouterr().err
         assert err == f"mdim: error: n={n} outside 0..{n - 1} for uniform forests\n"
+        assert not (tmp_path / "r.csv").exists()  # rejected before the output is created
 
     @pytest.mark.parametrize(
         "argv",
@@ -385,12 +387,14 @@ class TestConstantsCommands:
         assert captured.out == ""
         assert captured.err == "mdim: error: grid has more than 10000 points\n"
 
-    @pytest.mark.parametrize("argv", [["--step", "0"], ["--min", "0.5", "--max", "0.2"]])
+    @pytest.mark.parametrize("argv", [["--step", "0"], ["--min", "0.5", "--max", "0.2"], ["--step", "inf"]])
     def test_c_curve_error_prints_no_header(self, capsys, argv):
         assert main(["c-curve", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("mdim: error: ")
+        # a bad step is named as such: inf is not c = 0 * inf = nan at the first point
+        assert ("step must be positive and finite" in captured.err) == ("--step" in argv)
 
 
 class TestMonteCarlo:

@@ -204,20 +204,27 @@ class TestRunExperiment:
 
 
 class TestUniformChunks:
-    """Uniform replicates are sampled a chunk at a time, at most
-    UNIFORM_CHUNK_VERTICES vertices per chunk; replicate i is still the
-    graph a single call draws from stream i."""
+    """Replicates of every model are sampled a chunk at a time, at most
+    CHUNK_VERTICES vertices per chunk; replicate i is still the graph a
+    single call draws from stream i, and an excluded G(n,p) replicate is
+    None."""
 
     @staticmethod
     def single_betas(cfg):
-        from mdim.generators import SeededRng, sample_uniform_forest, sample_uniform_tree
-        from mdim.metric_dimension import forest_beta, slater_tree_beta
+        from mdim.generators import SeededRng, sample_gnp, sample_uniform_forest, sample_uniform_tree
+        from mdim.metric_dimension import ComponentTooLargeError, forest_beta, graph_beta, slater_tree_beta
 
-        if cfg.model == "uniform-tree":
-            sample, solve = sample_uniform_tree, slater_tree_beta
-        else:
-            sample, solve = sample_uniform_forest, forest_beta
-        return [solve(sample(cfg.n, SeededRng(cfg.seed, i).generator())).beta for i in range(cfg.replicates)]
+        def beta(rng):
+            if cfg.model == "uniform-tree":
+                return slater_tree_beta(sample_uniform_tree(cfg.n, rng)).beta
+            if cfg.model == "uniform-forest":
+                return forest_beta(sample_uniform_forest(cfg.n, rng)).beta
+            try:
+                return graph_beta(sample_gnp(cfg.n, cfg.edge_probability(), rng)).beta
+            except ComponentTooLargeError:
+                return None
+
+        return [beta(SeededRng(cfg.seed, i).generator()) for i in range(cfg.replicates)]
 
     @pytest.mark.parametrize(
         "model,n,replicates,chunks",
@@ -242,10 +249,24 @@ class TestUniformChunks:
         assert run_experiment(cfg).betas == self.single_betas(cfg)
         assert sizes == chunks
 
-    @pytest.mark.parametrize("model", ["uniform-tree", "uniform-forest"])
+    def test_gnp_betas_match_single_draws(self, monkeypatch):
+        calls = []
+        for name in ("sample_gnp", "graph_beta"):
+            real = getattr(experiments, name)
+            monkeypatch.setattr(experiments, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        cfg = ExperimentConfig("gnp", 400, 20, 7, c=0.9)  # chunks of 10
+        betas = run_experiment(cfg).betas
+        assert betas.count(None) == 7
+        assert betas == self.single_betas(cfg)
+        assert calls == (["sample_gnp"] * 10 + ["graph_beta"] * 10) * 2
+
+    @pytest.mark.parametrize("model", ["uniform-tree", "uniform-forest", "gnp"])
     def test_many_chunk_boundaries(self, monkeypatch, model):
-        monkeypatch.setattr(experiments, "UNIFORM_CHUNK_VERTICES", 20)
-        cfg = ExperimentConfig(model, 6, 23, 18)  # chunks of 3: seven full, then 2
+        if model == "gnp":
+            cfg = ExperimentConfig("gnp", 400, 20, 7, c=0.9)  # six full chunks, then 2; 7 excluded
+        else:
+            cfg = ExperimentConfig(model, 6, 23, 18)  # seven full chunks, then 2
+        monkeypatch.setattr(experiments, "CHUNK_VERTICES", 3 * cfg.n + 2)  # chunks of 3
         assert run_experiment(cfg).betas == self.single_betas(cfg)
 
 
