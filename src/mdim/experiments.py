@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import asymptotics
-# sample_uniform_tree and sample_uniform_forest go unused here, but bench/child.py
-# wraps them by name in this module
+# sample_uniform_tree, sample_uniform_forest, slater_tree_beta and forest_beta go
+# unused here, but bench/child.py wraps them by name in this module, as it wraps
+# graph_beta, so they stay imported
 from .generators import (
     SeededRng,
     check_forest_limit,
@@ -29,7 +31,9 @@ from .graph import check_vertex_limit
 from .metric_dimension import (
     BRUTE_CAP,
     ComponentTooLargeError,
+    NotATreeError,
     forest_beta,
+    forest_betas,
     graph_beta,
     slater_tree_beta,
 )
@@ -211,16 +215,21 @@ class ExperimentResult:
 
 
 # Replicates are sampled in chunks of at most this many vertices, or of one
-# replicate, with one Pruefer decode per uniform chunk.  On a 2-core x86-64
-# host, `mdim mc --model uniform-forest --n 500 --replicates 500` peaked at
-# 36.5 MB RSS one replicate at a time, 37.1 MB with chunks of 2^12 vertices
-# and 46.0 MB with 2^16; chunks of 2^10 ran about 10% slower than 2^12 and 2^14.
+# replicate, and a uniform chunk is decoded, built and solved as one union.
+# Medians of 10 interleaved runs on a 2-core x86-64 host (Python 3.11), for
+# `mdim mc --model uniform-tree --n 1000 --replicates 800` and
+# `--model uniform-forest --n 500 --replicates 500`: 2^12 took 0.160 s and
+# 0.110 s at 35.7 and 36.7 MB peak RSS; 2^10 took 0.236 and 0.135 s; 2^13
+# was faster on trees (0.151 s, 10 of 10) but not on forests (4 of 10), with
+# 0.4-0.5 MB more RSS; 2^14 took 0.156 and 0.107 s with 1.7-1.9 MB more.
 CHUNK_VERTICES = 2**12
 
 
 def _betas(cfg: ExperimentConfig) -> list[int | None]:
     """Betas of the replicates, in order, sampled a chunk at a time; None
-    marks a G(n,p) replicate excluded for a component above BRUTE_CAP.  The
+    marks a G(n,p) replicate excluded for a component above BRUTE_CAP.  A
+    uniform chunk is one graph, the union of its replicates, solved by one
+    `forest_betas` call; a G(n,p) chunk is solved a graph at a time.  The
     samplers and solvers are looked up at each call, so wrappers installed
     on this module see every one."""
     per_chunk = max(1, CHUNK_VERTICES // cfg.n)
@@ -228,16 +237,18 @@ def _betas(cfg: ExperimentConfig) -> list[int | None]:
     for start in range(0, cfg.replicates, per_chunk):
         rngs = [SeededRng(cfg.seed, i).generator() for i in range(start, min(start + per_chunk, cfg.replicates))]
         if cfg.model == "uniform-tree":
-            graphs, solve = sample_uniform_trees(cfg.n, rngs), slater_tree_beta
+            union = sample_uniform_trees(cfg.n, rngs)
+            if union.component_labels[1] != len(rngs):  # with forest_betas' checks: every block is one tree
+                raise NotATreeError(f"{union.component_labels[1]} components in a union of {len(rngs)} trees")
+            betas += forest_betas(union, cfg.n)
         elif cfg.model == "uniform-forest":
-            graphs, solve = sample_uniform_forests(cfg.n, rngs), forest_beta
+            betas += forest_betas(sample_uniform_forests(cfg.n, rngs), cfg.n)
         else:
-            graphs, solve = [sample_gnp(cfg.n, cfg.edge_probability(), rng) for rng in rngs], graph_beta
-        for g in graphs:
-            try:
-                betas.append(solve(g).beta)
-            except ComponentTooLargeError:  # only graph_beta raises it: a forest has no cycle
-                betas.append(None)
+            for g in [sample_gnp(cfg.n, cfg.edge_probability(), rng) for rng in rngs]:
+                try:
+                    betas.append(graph_beta(g).beta)
+                except ComponentTooLargeError:
+                    betas.append(None)
     return betas
 
 
@@ -253,12 +264,18 @@ def predicted_constants(cfg: ExperimentConfig) -> dict[str, float]:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all replicates (stream i for replicate i) and collect statistics."""
     cfg.validate()
+    created = bool(cfg.output) and not os.path.exists(cfg.output)
     if cfg.output:
         open(cfg.output, "a").close()  # an unwritable output fails before any sampling
-    if cfg.model == "uniform-forest":
-        # builds the cached count table here, where bench/child.py times it apart from sampling
-        forest_counts(cfg.n)
-    return ExperimentResult(cfg, _betas(cfg), predicted_constants(cfg))
+    try:
+        if cfg.model == "uniform-forest":
+            # builds the cached count table here, where bench/child.py times it apart from sampling
+            forest_counts(cfg.n)
+        return ExperimentResult(cfg, _betas(cfg), predicted_constants(cfg))
+    except BaseException:
+        if created:  # a failed run leaves no empty output behind, and an existing file as it was
+            os.remove(cfg.output)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.random  # numpy 2 loads it lazily: load it with this module, not in the first replicate
 
-from .graph import Graph, _with_components, check_edge_limit, check_vertex_limit
+from .graph import Graph, _with_components, check_blocks, check_edge_limit, check_vertex_limit
 
 
 @dataclass(frozen=True)
@@ -134,37 +134,37 @@ def _prufer_edges(seqs: np.ndarray, sizes) -> np.ndarray:
     return edges
 
 
-def _graphs(n: int, labels, seqs, partitions) -> list[Graph]:
-    """The graphs on n vertices whose non-trivial components, graph by graph,
-    have these label sets and Pruefer sequences, one graph per (smallest,
-    count) partition it carries.  One `_prufer_edges` call decodes every
-    component, and graph i takes the next n - count_i rows."""
-    empty = [np.empty(0, dtype=np.int64)]  # np.concatenate needs one array
-    sizes = [len(members) for members in labels]
-    edges = np.concatenate(empty + labels)[_prufer_edges(np.concatenate(empty + seqs), sizes)]
-    graphs = []
-    end = 0
-    for smallest, count in partitions:
-        start, end = end, end + n - count
-        graphs.append(_with_components(Graph.from_edges(n, edges[start:end]), smallest, count))
-    return graphs
+def _graphs(n: int, labels: np.ndarray, seqs, smallest: np.ndarray, count: int) -> Graph:
+    """The disjoint union of graphs on n vertices each, graph i on the block
+    of labels i*n..(i+1)*n-1, whose non-trivial components have these
+    Pruefer sequences and label sets (`labels`, concatenated component by
+    component).  One `_prufer_edges` call decodes every component and one
+    `Graph.from_edges` builds the union, which carries the partition
+    (smallest, count) handed over; `check_blocks` then asserts that no edge
+    leaves its block, the range check a graph of its own would make."""
+    sizes = [len(seq) + 2 for seq in seqs]
+    edges = labels[_prufer_edges(np.concatenate([np.empty(0, dtype=np.int64), *seqs]), sizes)]
+    union = Graph.from_edges(len(smallest), edges)
+    check_blocks(union, n)
+    return _with_components(union, smallest, count)
 
 
-def sample_uniform_trees(n: int, rngs: Sequence[np.random.Generator]) -> list[Graph]:
+def sample_uniform_trees(n: int, rngs: Sequence[np.random.Generator]) -> Graph:
     """Uniform labelled trees on n vertices, one per generator (a single
-    vertex for n = 1).  Each generator draws its tree's Pruefer sequence in
+    vertex for n = 1), as their disjoint union: tree i on the block of labels
+    i*n..(i+1)*n-1.  Each generator draws its tree's Pruefer sequence in
     turn, and one `_prufer_edges` call decodes them all."""
     if n < 1:
         raise ValueError("n must be >= 1")
     check_vertex_limit(n)
+    total = n * len(rngs)
     seqs = [rng.integers(0, n, size=n - 2) for rng in rngs if n > 1]
-    one = (np.zeros(n, dtype=np.int64), 1)  # read-only once handed over, so shared
-    return _graphs(n, [np.arange(n)] * len(seqs), seqs, [one] * len(rngs))
+    return _graphs(n, np.arange(total), seqs, np.arange(0, total, n).repeat(n), len(rngs))
 
 
 def sample_uniform_tree(n: int, rng: np.random.Generator) -> Graph:
     """Uniform labelled tree on n vertices (single vertex for n=1)."""
-    return sample_uniform_trees(n, [rng])[0]
+    return sample_uniform_trees(n, [rng])
 
 
 @dataclass(frozen=True)
@@ -235,28 +235,30 @@ def forest_counts(n: int) -> ForestCountTable:
     return ForestCountTable(tuple(t), tuple(f))
 
 
-def sample_uniform_forests(n: int, rngs: Sequence[np.random.Generator]) -> list[Graph]:
-    """Uniform labelled forests on n vertices, one per generator.
+def sample_uniform_forests(n: int, rngs: Sequence[np.random.Generator]) -> Graph:
+    """Uniform labelled forests on n vertices, one per generator, as their
+    disjoint union: forest i on the block of labels i*n..(i+1)*n-1.
 
     Each forest peels off the component containing the smallest unused label,
     whose size k has probability C(m-1,k-1) t_k f_{m-k} / f_m among m
     remaining labels; the component itself is then a uniform tree on its
     label set, drawn as its Pruefer sequence.  Each generator makes all of
-    its forest's draws in turn, and one `_prufer_edges` call then decodes
-    every component of the batch.  The counts come from the `forest_counts`
-    cache, built on the first call for n.  Each forest carries its partition:
-    each anchor is the smallest label of its component.
+    its forest's draws in turn, straight into its block's labels, and one
+    `_prufer_edges` call then decodes every component of the batch.  The
+    counts come from the `forest_counts` cache, built on the first call for
+    n.  The union carries its partition: each anchor is the smallest label
+    of its component.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     table = forest_counts(n)
-    labels = []  # each tree's labels in the forest, tree by tree
+    labels = [np.empty(0, dtype=np.int64)]  # each tree's labels, tree by tree; np.concatenate needs one array
     seqs = []
-    partitions = []
-    for rng in rngs:
-        available = np.arange(n)
-        smallest = np.arange(n)  # an isolated vertex is its own anchor
-        count = 0
+    smallest = np.arange(n * len(rngs))  # an isolated vertex is its own anchor
+    count = 0
+    for start in range(0, smallest.size, n):
+        rng = rngs[start // n]
+        available = np.arange(start, start + n)
         while available.size:
             count += 1
             m = available.size
@@ -274,13 +276,12 @@ def sample_uniform_forests(n: int, rngs: Sequence[np.random.Generator]) -> list[
                 smallest[members] = members[0]
                 labels.append(members)
                 seqs.append(rng.integers(0, k, size=k - 2))
-        partitions.append((smallest, count))
-    return _graphs(n, labels, seqs, partitions)
+    return _graphs(n, np.concatenate(labels), seqs, smallest, count)
 
 
 def sample_uniform_forest(n: int, rng: np.random.Generator) -> Graph:
     """Uniform labelled forest on n vertices (`sample_uniform_forests`)."""
-    return sample_uniform_forests(n, [rng])[0]
+    return sample_uniform_forests(n, [rng])
 
 
 def _pairs_from_indices(idx: np.ndarray, n: int, total: int) -> np.ndarray:

@@ -288,6 +288,18 @@ def check_edge_limit(m: int) -> None:
         raise GraphError(f"m={m} edges exceeds the edge limit {MAX_EDGES}")
 
 
+def check_blocks(g: Graph, block: int) -> None:
+    """Reject `g` unless it is a disjoint union of graphs on consecutive
+    blocks of `block` vertices: n a multiple of `block` and no edge between
+    two blocks."""
+    if block < 1 or g.n % block:
+        raise GraphError(f"n={g.n} is not a whole number of blocks of {block} vertices")
+    crossing = g.sources // block != g.indices // block
+    if np.count_nonzero(crossing):
+        e = int(crossing.argmax())  # CSR order: the first crossing slot has the smaller end as its source
+        raise GraphError(f"edge ({g.sources[e]},{g.indices[e]}) joins two blocks of {block} vertices")
+
+
 def _content_lines(text: str) -> list[str]:
     return [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
 

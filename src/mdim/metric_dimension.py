@@ -18,6 +18,7 @@ from .graph import (
     Graph,
     GraphError,
     bfs_distances,
+    check_blocks,
     connected_components,
     induced_subgraph,
 )
@@ -82,7 +83,7 @@ class ResolvingWitness:
         return f"ResolvingWitness(beta={self.beta}, witness={self.witness})"
 
 
-def _solve(parts: ComponentPartition, brute_cap: int) -> ResolvingWitness:
+def _solve(parts: ComponentPartition, brute_cap: int, block: int | None = None) -> ResolvingWitness:
     """Metric dimension of `parts.graph` from its component partition, in array passes.
 
     Slater's rule, |L| - |K|, on the tree components: CSR slot e, the edge
@@ -96,6 +97,12 @@ def _solve(parts: ComponentPartition, brute_cap: int) -> ResolvingWitness:
     `beta` counts the mask, and the witness tuple is built from it only when
     read.  The per-component arrays are read only when `parts.is_forest`, the
     test k = n - m, fails.
+
+    A `block` splits the graph into consecutive blocks of that many
+    vertices, the graphs of a disjoint union (`check_blocks`), and the
+    isolated-vertex rule then holds in each block: the mask counts each
+    graph's metric dimension in its own block.  Without one, the graph is a
+    single block and its component count is `parts.count`.
     """
     non_tree = [] if parts.is_forest else parts.cyclic.nonzero()[0].tolist()
     for c in non_tree:
@@ -104,8 +111,14 @@ def _solve(parts: ComponentPartition, brute_cap: int) -> ResolvingWitness:
     g = parts.graph
     ptr, nbr, deg = g.indptr, g.indices, g.degrees
     mask = deg == 0
-    if parts.count >= 2 and np.count_nonzero(mask):
-        mask[g.n - 1 - mask[::-1].argmax()] = False  # the largest isolated vertex
+    if block is None:
+        block, several = g.n, [0] if parts.count >= 2 else []
+    else:  # the blocks with >= 2 roots
+        roots = parts.smallest == np.arange(g.n)
+        several = (np.count_nonzero(roots.reshape(-1, block), axis=1) >= 2).nonzero()[0]
+    if len(several):  # in each, the largest isolated vertex; a block with none has its last vertex unmasked
+        rows = mask.reshape(-1, block)
+        rows[several, block - 1 - rows[several, ::-1].argmax(axis=1)] = False
     leaf, step = deg == 1, deg[nbr] == 2
     if non_tree:  # a cycle's degree-2 vertices would keep the doubling from a fixed point
         in_tree = ~parts.cyclic[parts.component_of]
@@ -151,6 +164,18 @@ def forest_beta(f: Graph) -> ResolvingWitness:
     if not parts.is_forest:
         raise NotAForestError("graph contains a cycle")
     return _solve(parts, 0)
+
+
+def forest_betas(f: Graph, n: int) -> list[int]:
+    """Metric dimension of each forest in a disjoint union of forests on n
+    vertices each, forest i on vertices i*n..(i+1)*n-1, as the batch
+    samplers return it: one Slater pass over the union, with the
+    isolated-vertex rule applied per block."""
+    check_blocks(f, n)
+    parts = connected_components(f)
+    if not parts.is_forest:
+        raise NotAForestError("graph contains a cycle")
+    return np.count_nonzero(_solve(parts, 0, n).members.reshape(-1, n), axis=1).tolist()
 
 
 def graph_beta(g: Graph, brute_cap: int = BRUTE_CAP) -> ResolvingWitness:

@@ -4,7 +4,8 @@ resolving-set check, the per-leaf Slater walk, the set-based edge check, the
 BFS component partition, the scalar pair-index decoder, the tuple-list
 Pruefer decoder and the checked one-sequence decode, the word-by-word
 big-integer draw, Takacs' closed form and
-the recurrence for the forest counts, tree enumeration, generic series
+the recurrence for the forest counts, tree enumeration in disjoint unions
+and the blocks of a union, generic series
 composition, the count-by-count product of two series, the pointed series
 of the dissymmetry theorem, the y-collapse of a bivariate count, the
 term-by-term series for C(c), the mobile series' partial sums, a
@@ -195,7 +196,7 @@ def prufer_decode(seq) -> Graph:
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         bad = (arr < 0) | (arr >= n)
         raise ValueError(f"sequence entry {arr[bad.argmax()]} out of range for n={n}")
-    return _graphs(n, [np.arange(n)], [arr.astype(np.int64)], [(np.zeros(n, dtype=np.int64), 1)])[0]
+    return _graphs(n, np.arange(n), [arr.astype(np.int64)], np.zeros(n, dtype=np.int64), 1)
 
 
 def prufer_edges_walk(seq) -> list[tuple[int, int]]:
@@ -347,14 +348,35 @@ def y_collapse(poly: UVPoly) -> dict[int, int]:
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
     """All n^(n-2) labelled trees on n vertices, 2 <= n <= 8, in the
-    lexicographic order of their Pruefer sequences, decoded 2^12 per call."""
+    lexicographic order of their Pruefer sequences, as disjoint unions of
+    2^12 trees (fewer in the last): tree i of a union on the block of labels
+    i*n..(i+1)*n-1, as the batch samplers return them.  Each union carries
+    its partition, and `block_edges` and `split_blocks` take it apart."""
     if not 2 <= n <= 8:
         raise ValueError(f"enumeration supported for 2 <= n <= 8, got {n}")
     seqs = list(np.array(list(product(range(n), repeat=n - 2)), dtype=np.int64))
-    one = (np.zeros(n, dtype=np.int64), 1)
     for start in range(0, len(seqs), 2**12):  # all 8^6 trees at once would hold 130 MB more
         chunk = seqs[start : start + 2**12]
-        yield from _graphs(n, [np.arange(n)] * len(chunk), chunk, [one] * len(chunk))
+        total = n * len(chunk)
+        yield _graphs(n, np.arange(total), chunk, np.arange(0, total, n).repeat(n), len(chunk))
+
+
+def block_edges(g: Graph, n: int) -> list[tuple[tuple[int, int], ...]]:
+    """The edges of each graph in a disjoint union on consecutive blocks of n
+    vertices, relabelled to 0..n-1, as (u, v) with u < v in lexicographic
+    order: what `edges()` gives on each graph alone."""
+    keep = g.sources < g.indices
+    u, v = g.sources[keep], g.indices[keep]
+    base = u // n * n
+    pairs = list(zip((u - base).tolist(), (v - base).tolist()))
+    starts = np.searchsorted(u, np.arange(0, g.n, n)).tolist()  # CSR order: u is sorted
+    return [tuple(pairs[a:b]) for a, b in zip(starts, starts[1:] + [len(pairs)])]
+
+
+def split_blocks(g: Graph, n: int) -> list[Graph]:
+    """The graphs of a disjoint union on consecutive blocks of n vertices,
+    each relabelled to 0..n-1 and built anew, so it computes its own partition."""
+    return [Graph.from_edges(n, edges) for edges in block_edges(g, n)]
 
 
 def forest_counts_recurrence(n: int) -> tuple[list[int], list[int]]:

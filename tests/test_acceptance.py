@@ -96,9 +96,9 @@ def test_criterion_3_series_coefficients():
 
 
 def test_criterion_4_oracle_triangle(system30_at_y):
-    from helpers import enumerate_trees
+    from helpers import enumerate_trees, split_blocks
     from mdim.generators import SeededRng, sample_uniform_forest
-    from mdim.metric_dimension import brute_force_beta, forest_beta, slater_tree_beta
+    from mdim.metric_dimension import brute_force_beta, forest_beta, forest_betas
     from mdim.series import beta_distribution
 
     t0 = time.perf_counter()
@@ -107,10 +107,11 @@ def test_criterion_4_oracle_triangle(system30_at_y):
         hist_slater = Counter()
         hist_brute = Counter()
         total = 0
-        for t in enumerate_trees(n):
-            hist_slater[slater_tree_beta(t).beta] += 1
-            hist_brute[brute_force_beta(t).beta] += 1
-            total += 1
+        for union in enumerate_trees(n):
+            assert union.component_labels[1] == union.n // n  # one tree per block
+            hist_slater.update(forest_betas(union, n))
+            hist_brute.update(brute_force_beta(t).beta for t in split_blocks(union, n))
+            total += union.n // n
         pmf = beta_distribution(system30_at_y.T, n).pmf
         assert hist_slater == hist_brute, f"n={n}"
         assert {b: F(c, total) for b, c in hist_slater.items()} == pmf, f"n={n}"

@@ -451,6 +451,24 @@ class TestMonteCarlo:
         assert err.startswith("mdim: error: [Errno 2] No such file or directory")
         assert err.count("\n") == 1 and not out_file.parent.exists()
 
+    # sampling fails on the first replicate: C(5000, 2) edges at p = 1 exceed the edge limit
+    FAILING_MC = ["mc", "--model", "gnp", "--p-exponent", "0", "--n", "5000", "--replicates", "3"]
+
+    def test_mc_failure_removes_the_out_file_it_created(self, tmp_path, capsys):
+        from mdim.graph import MAX_EDGES
+
+        out_file = tmp_path / "F.csv"
+        assert main([*self.FAILING_MC, "--out", str(out_file)]) == 2
+        assert capsys.readouterr().err == f"mdim: error: m=12497500 edges exceeds the edge limit {MAX_EDGES}\n"
+        assert not out_file.exists()
+
+    def test_mc_failure_keeps_an_existing_out_file(self, tmp_path, capsys):
+        out_file = tmp_path / "F.csv"
+        out_file.write_text("replicate,beta\n0,7\n")
+        assert main([*self.FAILING_MC, "--out", str(out_file)]) == 2
+        assert "edge limit" in capsys.readouterr().err
+        assert out_file.read_text() == "replicate,beta\n0,7\n"
+
 
 SUBCOMMANDS = ["exact", "brute", "sample-tree", "sample-forest", "sample-gnp", "series", "dist", "constants", "c-curve", "mc"]
 TOP_USAGE = """usage: mdim [-h]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    block_edges,
     chi_square_ok,
     enumerate_trees,
     forest_count_takacs,
@@ -48,9 +49,9 @@ def edge_key(g):
 
 def batched(sample, n, rng, total, batch=10_000):
     """`total` graphs from the batch entry `sample`, all drawn from `rng` in
-    turn, `batch` at a time: the draws of `total` single calls."""
+    turn, as unions of `batch` graphs: the draws of `total` single calls."""
     for start in range(0, total, batch):
-        yield from sample(n, [rng] * min(batch, total - start))
+        yield sample(n, [rng] * min(batch, total - start))
 
 
 def decoded(seqs):
@@ -66,62 +67,42 @@ def walked(seqs):
     return np.array([e for seq in seqs for e in prufer_edges_walk(list(seq))], dtype=np.int64).reshape(-1, 2)
 
 
-class Handed:
-    """Checks the partition each sampled graph carries against hook-and-compress
-    on a freshly built graph: each smallest label, its dtype, and the count.
-
-    Graphs are checked in batches, by one `connected_components` over the
-    disjoint union of the batch, built anew by `Graph.from_edges` so that no
-    sampler hands it labels: its smallest labels are each graph's,
-    shifted by the graph's offset, and its roots in each block are that
-    graph's count.  So a law test that draws 10^5 graphs pays one
-    hook-and-compress per batch, not one per graph.
-    """
-
-    def __init__(self, batch: int = 10_000):
-        self.batch = batch
-        self.held = []  # arrays only: holding the graphs, with their `adj` tuples, slows the collector
-
-    def __call__(self, g):
-        # filled in by the sampler; read first, the property would run hook-and-compress itself
-        assert "component_labels" in vars(g)
-        self.held.append((g.n, g.sources, g.indices, *g.component_labels))
-        if len(self.held) >= self.batch:
-            self.check()
-        return g
-
-    def check(self):
-        held, self.held = self.held, []
-        if not held:
-            return
-        sizes, sources, indices, smallest, counts = zip(*held)
-        sizes = np.array(sizes)
-        starts = np.cumsum(sizes) - sizes
-        shift = np.repeat(starts, [len(s) for s in sources])
-        src, dst = np.concatenate(sources) + shift, np.concatenate(indices) + shift
-        fresh = connected_components(Graph.from_edges(int(sizes.sum()), np.stack((src, dst), axis=1)[src < dst]))
-        assert {s.dtype for s in smallest} == {fresh.smallest.dtype}
-        assert np.array_equal(np.concatenate(smallest) + np.repeat(starts, sizes), fresh.smallest)
-        roots = np.add.reduceat(fresh.smallest == np.arange(len(fresh.smallest)), starts)
-        assert roots.tolist() == list(counts)
+def handed(g):
+    """Check the partition a sampled graph or union carries against
+    hook-and-compress on the same edges, built anew by `Graph.from_edges`
+    so that no sampler hands it labels: each smallest label, its dtype, and
+    the count.  A law test that draws 10^5 graphs in unions of 10^4 pays one
+    hook-and-compress per union, not one per graph."""
+    # filled in by the sampler; read first, the property would run hook-and-compress itself
+    assert "component_labels" in vars(g)
+    smallest, count = g.component_labels
+    half = g.sources < g.indices
+    fresh = connected_components(Graph.from_edges(g.n, np.stack((g.sources[half], g.indices[half]), axis=1)))
+    assert smallest.dtype == fresh.smallest.dtype
+    assert np.array_equal(smallest, fresh.smallest) and count == fresh.count
+    return g
 
 
-@pytest.fixture
-def handed():
-    batch = Handed()
-    yield batch
-    batch.check()
+def edgeless_blocks(g, n):
+    """How many blocks of a union have no edge."""
+    return np.count_nonzero(~g.degrees.reshape(-1, n).any(axis=1))
+
+
+def block_counts(g, n):
+    """The component count of each block of a union, read off the partition it carries."""
+    smallest, _ = g.component_labels
+    return np.count_nonzero((smallest == np.arange(g.n)).reshape(-1, n), axis=1)
 
 
 class TestPruferDecode:
-    def test_star_center_zero(self, handed):
+    def test_star_center_zero(self):
         g = handed(prufer_decode([0]))
         assert edge_key(g) == ((0, 1), (0, 2))
 
-    def test_single_edge(self, handed):
+    def test_single_edge(self):
         assert edge_key(handed(prufer_decode([]))) == ((0, 1),)
 
-    def test_bijection_n4(self, handed):
+    def test_bijection_n4(self):
         from itertools import product
 
         images = {edge_key(handed(prufer_decode(seq))) for seq in product(range(4), repeat=2)}
@@ -221,7 +202,7 @@ class TestPruferDecode:
         monkeypatch.undo()
         assert np.array_equal(_prufer_edges(seq, [100]), want)
 
-    def test_decodes_are_trees(self, handed):
+    def test_decodes_are_trees(self):
         for n in (5, 6, 7):
             rng = SeededRng(99, n).generator()
             seq = [int(x) for x in rng.integers(0, n, size=n - 2)]
@@ -255,7 +236,7 @@ class TestRandbelow:
 class TestEnumerateTrees:
     @pytest.mark.parametrize("n,count", [(4, 16), (6, 1296), (7, 16807)])
     def test_counts(self, n, count):
-        assert sum(1 for _ in enumerate_trees(n)) == count
+        assert sum(u.n // n for u in enumerate_trees(n)) == count
 
     def test_range_check(self):
         with pytest.raises(ValueError):
@@ -265,29 +246,32 @@ class TestEnumerateTrees:
 
 
 class TestUniformTree:
-    def test_tiny_sizes(self, handed):
+    def test_tiny_sizes(self):
         rng = SeededRng(0, 0).generator()
         assert handed(sample_uniform_tree(1, rng)).n == 1
         assert edge_key(handed(sample_uniform_tree(2, rng))) == ((0, 1),)
 
-    def test_uniform_n3(self, handed):
+    def test_uniform_n3(self):
         rng = SeededRng(42, 0).generator()
-        counts = Counter(edge_key(handed(t)) for t in batched(sample_uniform_trees, 3, rng, 100_000))
-        probs = {edge_key(t): 1 / 3 for t in enumerate_trees(3)}
+        counts = Counter(e for u in batched(sample_uniform_trees, 3, rng, 100_000) for e in block_edges(handed(u), 3))
+        probs = {e: 1 / 3 for u in enumerate_trees(3) for e in block_edges(u, 3)}
         assert len(counts) == 3
         assert chi_square_ok(counts, probs, 100_000)
 
-    def test_uniform_n4(self, handed):
+    def test_uniform_n4(self):
         rng = SeededRng(43, 0).generator()
-        counts = Counter(edge_key(handed(t)) for t in batched(sample_uniform_trees, 4, rng, 100_000))
-        probs = {edge_key(t): 1 / 16 for t in enumerate_trees(4)}
+        counts = Counter(e for u in batched(sample_uniform_trees, 4, rng, 100_000) for e in block_edges(handed(u), 4))
+        probs = {e: 1 / 16 for u in enumerate_trees(4) for e in block_edges(u, 4)}
         assert len(counts) == 16
         assert chi_square_ok(counts, probs, 100_000)
 
-    def test_star_frequency_n4(self, handed):
+    def test_star_frequency_n4(self):
         rng = SeededRng(44, 0).generator()
         total = 100_000
-        stars = sum(1 for t in batched(sample_uniform_trees, 4, rng, total) if max(map(len, handed(t).adj)) == 3)
+        stars = sum(
+            np.count_nonzero(handed(u).degrees.reshape(-1, 4).max(axis=1) == 3)
+            for u in batched(sample_uniform_trees, 4, rng, total)
+        )
         p = 4 / 16
         sigma = math.sqrt(p * (1 - p) / total)
         assert abs(stars / total - p) < 3.5 * sigma
@@ -349,22 +333,22 @@ class TestForestCounts:
 
 
 class TestUniformForest:
-    def test_two_singletons_probability(self, handed):
+    def test_two_singletons_probability(self):
         rng = SeededRng(7, 0).generator()
         total = 40_000
-        empty = sum(1 for f in batched(sample_uniform_forests, 2, rng, total) if handed(f).edge_count == 0)
+        empty = sum(edgeless_blocks(handed(f), 2) for f in batched(sample_uniform_forests, 2, rng, total))
         sigma = math.sqrt(0.25 / total)
         assert abs(empty / total - 0.5) < 3.5 * sigma
 
-    def test_empty_graph_probability_n3(self, handed):
+    def test_empty_graph_probability_n3(self):
         rng = SeededRng(8, 0).generator()
         total = 70_000
-        empty = sum(1 for f in batched(sample_uniform_forests, 3, rng, total) if handed(f).edge_count == 0)
+        empty = sum(edgeless_blocks(handed(f), 3) for f in batched(sample_uniform_forests, 3, rng, total))
         p = 1 / 7
         sigma = math.sqrt(p * (1 - p) / total)
         assert abs(empty / total - p) < 3.5 * sigma
 
-    def test_component_size_law_n6(self, handed):
+    def test_component_size_law_n6(self):
         tab = forest_counts(6)
         probs = {
             k: math.comb(5, k - 1) * tab.t[k] * tab.f[6 - k] / tab.f[6]
@@ -374,19 +358,18 @@ class TestUniformForest:
         total = 100_000
         counts = Counter()
         for f in batched(sample_uniform_forests, 6, rng, total):
-            parts = connected_components(handed(f))
-            comp0 = parts.components[parts.component_of[0]]
-            counts[len(comp0)] += 1
+            blocks = handed(f).component_labels[0].reshape(-1, 6)
+            counts.update(np.count_nonzero(blocks == blocks[:, :1], axis=1).tolist())  # vertex 0's component
         assert chi_square_ok(counts, probs, total)
 
-    def test_isolated_vertex_marginal(self, handed):
+    def test_isolated_vertex_marginal(self):
         # P(vertex 0 isolated in a uniform forest on n) = f_{n-1}/f_n
         total = 30_000
         for n in range(2, 11):
             tab = forest_counts(n)
             p = tab.f[n - 1] / tab.f[n]
             rng = SeededRng(100 + n, 0).generator()
-            hits = sum(1 for f in batched(sample_uniform_forests, n, rng, total) if len(handed(f).adj[0]) == 0)
+            hits = sum(np.count_nonzero(handed(f).degrees[::n] == 0) for f in batched(sample_uniform_forests, n, rng, total))
             sigma = math.sqrt(p * (1 - p) / total)
             assert abs(hits / total - p) < 4 * sigma, n
 
@@ -455,56 +438,62 @@ class TestGnp:
         assert g.edge_count == len(set(g.edges()))
 
 
-def same_graphs(batch, singles, handed):
-    """The graphs agree, and so do the partitions they carry."""
-    assert len(batch) == len(singles)
-    for a, b in zip(batch, singles):
-        assert serialize_graph(handed(a)) == serialize_graph(handed(b))
-        (smallest_a, count_a), (smallest_b, count_b) = a.component_labels, b.component_labels
-        assert count_a == count_b and np.array_equal(smallest_a, smallest_b)
+def same_graphs(batch, singles):
+    """Block i of the union `batch` is the graph singles[i], and carries its
+    partition: the same smallest labels, shifted by the block's offset, and
+    the same count."""
+    n = batch.n // len(singles)
+    assert batch.n == n * len(singles)
+    assert block_edges(handed(batch), n) == [edge_key(handed(b)) for b in singles]
+    smallest, count = batch.component_labels
+    for i, b in enumerate(singles):
+        assert np.array_equal(smallest[i * n : (i + 1) * n] - i * n, b.component_labels[0])
+    assert block_counts(batch, n).tolist() == [b.component_labels[1] for b in singles]
+    assert count == sum(b.component_labels[1] for b in singles)
     return True
 
 
 class TestBatchEntries:
-    """Entry i of a batch is the graph a single call draws from generator i."""
+    """Block i of a batch is the graph a single call draws from generator i."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 1000])
-    def test_trees_match_single_draws(self, handed, n):
+    def test_trees_match_single_draws(self, n):
         a, b = SeededRng(61, n).generator(), SeededRng(61, n).generator()
         k = 5 if n == 1000 else 40
-        assert same_graphs(sample_uniform_trees(n, [a] * k), [sample_uniform_tree(n, b) for _ in range(k)], handed)
+        assert same_graphs(sample_uniform_trees(n, [a] * k), [sample_uniform_tree(n, b) for _ in range(k)])
         assert a.integers(0, 2**40) == b.integers(0, 2**40)  # both generators made the same draws
 
     @pytest.mark.parametrize("n", range(1, 13))
-    def test_forests_match_single_draws(self, handed, n):
+    def test_forests_match_single_draws(self, n):
         a, b = SeededRng(62, n).generator(), SeededRng(62, n).generator()
         batch = sample_uniform_forests(n, [a] * 40)
-        assert same_graphs(batch, [sample_uniform_forest(n, b) for _ in range(40)], handed)
+        assert same_graphs(batch, [sample_uniform_forest(n, b) for _ in range(40)])
         assert a.integers(0, 2**40) == b.integers(0, 2**40)
 
-    def test_one_generator_each(self, handed):
+    def test_one_generator_each(self):
         for sample, single, n in ((sample_uniform_trees, sample_uniform_tree, 50), (sample_uniform_forests, sample_uniform_forest, 30)):
             batch = sample(n, [SeededRng(63, i).generator() for i in range(10)])
-            assert same_graphs(batch, [single(n, SeededRng(63, i).generator()) for i in range(10)], handed)
+            assert same_graphs(batch, [single(n, SeededRng(63, i).generator()) for i in range(10)])
 
     # (n, seed) drawing each extreme: no edge at all, and a single tree
     @pytest.mark.parametrize("n,seed,count", [(3, 12, 3), (4, 120, 4), (5, 1020, 5), (12, 0, 1), (40, 1, 1)])
-    def test_forest_extremes_in_a_batch(self, handed, n, seed, count):
+    def test_forest_extremes_in_a_batch(self, n, seed, count):
         seeds = [seed, seed + 1, seed, seed + 2, seed]
         batch = sample_uniform_forests(n, [SeededRng(s).generator() for s in seeds])
-        assert [f.component_labels[1] for f in batch[::2]] == [count] * 3
-        assert same_graphs(batch, [sample_uniform_forest(n, SeededRng(s).generator()) for s in seeds], handed)
+        assert block_counts(batch, n)[::2].tolist() == [count] * 3
+        assert same_graphs(batch, [sample_uniform_forest(n, SeededRng(s).generator()) for s in seeds])
 
-    def test_batches_with_no_tree_to_decode(self, handed):
+    def test_batches_with_no_tree_to_decode(self):
         for n, seed in ((1, 0), (3, 12)):  # every forest all isolated
             batch = sample_uniform_forests(n, [SeededRng(seed).generator(), SeededRng(seed).generator()])
-            assert [handed(f).component_labels[1] for f in batch] == [n, n]
-            assert all(f.edge_count == 0 for f in batch)
-        assert sample_uniform_trees(5, []) == [] and sample_uniform_forests(5, []) == []
+            assert block_counts(handed(batch), n).tolist() == [n, n]
+            assert batch.n == 2 * n and batch.edge_count == 0
+        for empty in (sample_uniform_trees(5, []), sample_uniform_forests(5, [])):
+            assert handed(empty).n == 0 and empty.component_labels[1] == 0
 
 
 class TestDeterminism:
-    def test_same_seed_same_graph(self, handed):
+    def test_same_seed_same_graph(self):
         for sampler, n, hands_partition in (
             (sample_uniform_tree, 200, True),
             (lambda n, r: sample_uniform_forest(n, r), 60, True),
@@ -518,7 +507,7 @@ class TestDeterminism:
             else:  # G(n,p) leaves its partition to hook-and-compress in `Graph.component_labels`
                 assert "component_labels" not in vars(a)
 
-    def test_streams_differ(self, handed):
+    def test_streams_differ(self):
         a = handed(sample_uniform_tree(100, SeededRng(5, 0).generator()))
         b = handed(sample_uniform_tree(100, SeededRng(5, 1).generator()))
         assert serialize_graph(a) != serialize_graph(b)
@@ -535,9 +524,7 @@ class TestHandedPartition:
     @example((60, [59] * 58))
     def test_random_pruefer_sequences(self, case):
         n, seq = case
-        handed = Handed()  # checked inside the example, so that hypothesis can shrink a failure
         t = handed(sample_uniform_tree(1, SeededRng(0).generator()) if n == 1 else prufer_decode(seq))
-        handed.check()
         assert t.n == n
         smallest, count = t.component_labels
         assert count == 1 and not smallest.any()
@@ -545,14 +532,12 @@ class TestHandedPartition:
     @given(st.integers(1, 40), st.integers(0, 2**32))
     @example(1, 0)
     def test_random_forests(self, n, seed):
-        handed = Handed()
         f = handed(sample_uniform_forest(n, SeededRng(seed).generator()))
-        handed.check()
         assert f.component_labels[1] == n - f.edge_count
 
     # (n, seed) drawing each extreme: no edge at all, and a single tree
     @pytest.mark.parametrize("n,seed,count", [(3, 12, 3), (4, 120, 4), (5, 1020, 5), (12, 0, 1), (40, 1, 1)])
-    def test_all_isolated_and_single_tree(self, handed, n, seed, count):
+    def test_all_isolated_and_single_tree(self, n, seed, count):
         f = handed(sample_uniform_forest(n, SeededRng(seed).generator()))
         assert f.component_labels[1] == count
 

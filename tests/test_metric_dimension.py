@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from helpers import (
     complete_graph,
@@ -14,8 +14,8 @@ from helpers import (
     star_graph,
 )
 import mdim.metric_dimension
-from mdim.generators import SeededRng, sample_gnp, sample_uniform_forest, sample_uniform_tree
-from mdim.graph import Graph, connected_components
+from mdim.generators import SeededRng, _graphs, sample_gnp, sample_uniform_forest, sample_uniform_tree
+from mdim.graph import Graph, GraphError, connected_components
 from mdim.metric_dimension import (
     BRUTE_MAX_VERTICES,
     ComponentTooLargeError,
@@ -27,6 +27,7 @@ from mdim.metric_dimension import (
     brute_force_beta,
     check_brute_size,
     forest_beta,
+    forest_betas,
     graph_beta,
     slater_tree_beta,
 )
@@ -192,10 +193,10 @@ class TestBruteForce:
 
 class TestOracleEquivalence:
     def test_exhaustive_small_trees(self):
-        from helpers import enumerate_trees
+        from helpers import enumerate_trees, split_blocks
 
         for n in range(2, 7):
-            for t in enumerate_trees(n):
+            for t in (t for union in enumerate_trees(n) for t in split_blocks(union, n)):
                 s = slater_tree_beta(t)
                 b = brute_force_beta(t)
                 assert s.beta == b.beta, tuple(t.edges())
@@ -371,3 +372,57 @@ class TestWalkOracle:
         g = Graph.from_edges(k + len(hangs), edges)
         assert set(g.degrees[:k].tolist()) == {3}
         assert solved(_solve, g) == solved(slater_walk_witness, g) == ResolvingWitness(2, (k + 1, k + len(hangs) - 1))
+
+
+@st.composite
+def labelled_forest(draw, n):
+    """Any labelled forest on n vertices: each vertex is a root or hangs from
+    a smaller one, then the labels are permuted."""
+    parents = [draw(st.one_of(st.none(), st.integers(0, v - 1))) if v else None for v in range(n)]
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(perm[v], perm[p]) for v, p in enumerate(parents) if p is not None])
+
+
+def forest_unions(min_size=1):
+    """(n, forests): 1-40 forests on one size n in 1..9."""
+    return st.integers(1, 9).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(labelled_forest(n), min_size=min_size, max_size=40))
+    )
+
+
+class TestForestBetas:
+    """One Slater pass over a disjoint union against `forest_beta` on each
+    forest alone: the isolated-vertex rule must hold block by block."""
+
+    @given(forest_unions())
+    @example((1, [Graph.from_edges(1, [])] * 3))  # single vertices: beta 1 each
+    @example((5, [Graph.from_edges(5, [])] * 4))  # edgeless blocks: n - 1 each
+    @example((4, [Graph.from_edges(4, [(0, 1)]), path_graph(4), Graph.from_edges(4, [(2, 3)]), Graph.from_edges(4, [])]))
+    def test_matches_forest_beta_per_block(self, case):
+        n, forests = case
+        assert forest_betas(disjoint_union(*forests), n) == [forest_beta(f).beta for f in forests]
+
+    @given(forest_unions(min_size=2), st.data())
+    def test_an_edge_between_blocks_raises(self, case, data):
+        n, forests = case
+        union = disjoint_union(*forests)
+        u = data.draw(st.integers(0, union.n - n - 1))
+        v = data.draw(st.integers((u // n + 1) * n, union.n - 1))
+        crossing = Graph.from_edges(union.n, [*union.edges(), (u, v)])  # still a forest
+        with pytest.raises(GraphError, match=rf"edge \({u},{v}\) joins two blocks of {n} vertices"):
+            forest_betas(crossing, n)
+
+    def test_sampler_epilogue_checks_blocks(self):
+        # one component on labels 1 and 2 of a union of two graphs on 2 vertices
+        labels, smallest = np.array([1, 2]), np.array([0, 1, 1, 3])
+        with pytest.raises(GraphError, match=r"edge \(1,2\) joins two blocks of 2 vertices"):
+            _graphs(2, labels, [np.empty(0, dtype=np.int64)], smallest, 3)
+
+    def test_rejects_a_partial_block_and_a_cycle(self):
+        with pytest.raises(GraphError, match="n=5 is not a whole number of blocks of 2 vertices"):
+            forest_betas(path_graph(5), 2)
+        with pytest.raises(NotAForestError, match="graph contains a cycle"):
+            forest_betas(disjoint_union(path_graph(3), cycle_graph(3)), 3)
+
+    def test_empty_union(self):
+        assert forest_betas(Graph.from_edges(0, []), 4) == []

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import compose, conv_oracle, enumerate_trees, pointed_series, y_collapse
-from mdim.metric_dimension import brute_force_beta, forest_beta, slater_tree_beta
+from helpers import block_edges, compose, conv_oracle, enumerate_trees, pointed_series, y_collapse
+from mdim.graph import Graph
+from mdim.metric_dimension import brute_force_beta, forest_beta, forest_betas
 from mdim.series import (
     _DEG_MASK,
     TruncatedSeries,
@@ -98,7 +99,7 @@ class TestSolveP:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_prufer_degrees_match_trees(self, n):
-        expected = [t.degrees.tolist() for t in enumerate_trees(n)]
+        expected = [row for union in enumerate_trees(n) for row in union.degrees.reshape(-1, n).tolist()]
         assert prufer_degrees(n).T.tolist() == expected
 
     def test_counts_match_enumeration(self, sys12):
@@ -302,15 +303,15 @@ class TestBetaDistribution:
     def test_tree_n6_mean_matches_enumeration(self, dist12):
         total = 0
         acc = 0
-        for t in enumerate_trees(6):
-            acc += slater_tree_beta(t).beta
-            total += 1
+        for union in enumerate_trees(6):
+            assert union.component_labels[1] == union.n // 6  # one tree per block
+            betas = forest_betas(union, 6)
+            acc += sum(betas)
+            total += len(betas)
         assert beta_distribution(dist12.T, 6).mean() == F(acc, total)
 
     def test_forest_n3_matches_brute_force(self, dist12):
         # all 7 labelled forests on 3 vertices, uniformly weighted
-        from mdim.graph import Graph
-
         forests = [Graph.from_edges(3, [])]
         forests += [Graph.from_edges(3, [e]) for e in ((0, 1), (0, 2), (1, 2))]
         forests += [
@@ -343,15 +344,18 @@ class TestTriangleOfTruth:
     def test_n8_slater_exhaustive_brute_sampled(self, dist12):
         # slater covers all 8^6 trees of n = 8 and brute force a fixed slice;
         # the exhaustive brute-force pass stops at n = 7
+        # (one `forest_betas` call per union of 2^12 trees, so every 64th tree
+        # overall is every 64th of each union)
         hist = Counter()
         total = 0
         brute_checked = 0
-        for i, t in enumerate(enumerate_trees(8)):
-            b = slater_tree_beta(t).beta
-            hist[b] += 1
-            total += 1
-            if i % 64 == 0:
-                assert brute_force_beta(t).beta == b
+        for union in enumerate_trees(8):
+            assert union.component_labels[1] == union.n // 8  # one tree per block
+            betas = forest_betas(union, 8)
+            hist.update(betas)
+            total += len(betas)
+            for edges, b in zip(block_edges(union, 8)[::64], betas[::64]):
+                assert brute_force_beta(Graph.from_edges(8, edges)).beta == b
                 brute_checked += 1
         pmf = beta_distribution(dist12.T, 8).pmf
         assert {b: F(c, total) for b, c in hist.items()} == pmf
@@ -360,7 +364,7 @@ class TestTriangleOfTruth:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_forest_pmf_vs_both_oracles(self, n, dist12):
         # every labelled forest on n vertices: the acyclic edge subsets of K_n
-        from mdim.graph import ComponentKind, Graph, connected_components
+        from mdim.graph import ComponentKind, connected_components
 
         pairs = list(itertools.combinations(range(n), 2))
         hist_forest = Counter()
