@@ -31,7 +31,6 @@ from .graph import check_vertex_limit
 from .metric_dimension import (
     BRUTE_CAP,
     ComponentTooLargeError,
-    NotATreeError,
     forest_beta,
     forest_betas,
     graph_beta,
@@ -237,10 +236,7 @@ def _betas(cfg: ExperimentConfig) -> list[int | None]:
     for start in range(0, cfg.replicates, per_chunk):
         rngs = [SeededRng(cfg.seed, i).generator() for i in range(start, min(start + per_chunk, cfg.replicates))]
         if cfg.model == "uniform-tree":
-            union = sample_uniform_trees(cfg.n, rngs)
-            if union.component_labels[1] != len(rngs):  # with forest_betas' checks: every block is one tree
-                raise NotATreeError(f"{union.component_labels[1]} components in a union of {len(rngs)} trees")
-            betas += forest_betas(union, cfg.n)
+            betas += forest_betas(sample_uniform_trees(cfg.n, rngs), cfg.n)
         elif cfg.model == "uniform-forest":
             betas += forest_betas(sample_uniform_forests(cfg.n, rngs), cfg.n)
         else:

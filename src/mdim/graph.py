@@ -18,7 +18,9 @@ import numpy as np
 
 
 class GraphError(ValueError):
-    """Malformed graph input (self-loop, duplicate edge, bad vertex id, ...)."""
+    """A graph refused: malformed input (self-loop, duplicate edge, bad
+    vertex id, ...), or one a solver cannot take (empty, not a tree or
+    forest, above a size cap)."""
 
 
 # Distance between vertices in different components: never equal to an int,

@@ -104,6 +104,13 @@ class TestExactAndBrute:
         assert peak < 8 * 2**20
 
 
+    @pytest.mark.parametrize("command", ["exact", "brute"])
+    def test_empty_graph_refused(self, tmp_path, capsys, command):
+        path = tmp_path / "empty.txt"
+        path.write_text("0 0\n")
+        assert main([command, "--graph", str(path)]) == 2
+        assert capsys.readouterr() == ("", "mdim: error: empty graph\n")
+
     def test_exact_vertex_id_beyond_int64(self, tmp_path, capsys):
         path = tmp_path / "huge.txt"
         path.write_text("2 1\n0 99999999999999999999\n")

@@ -19,10 +19,7 @@ from mdim.graph import Graph, GraphError, connected_components
 from mdim.metric_dimension import (
     BRUTE_MAX_VERTICES,
     ComponentTooLargeError,
-    NotAForestError,
-    NotATreeError,
     ResolvingWitness,
-    SizeCapError,
     _solve,
     brute_force_beta,
     check_brute_size,
@@ -76,10 +73,12 @@ class TestDecoration:
         assert forest_beta(Graph.from_edges(3, [])) == ResolvingWitness(2, (0, 1))
 
     def test_not_a_tree(self):
-        with pytest.raises(NotATreeError):
+        with pytest.raises(GraphError, match="graph contains a cycle"):
             slater_tree_beta(cycle_graph(4))
-        with pytest.raises(NotATreeError):
+        with pytest.raises(GraphError, match="graph has 2 components, a tree has 1"):
             slater_tree_beta(Graph.from_edges(3, [(0, 1)]))
+        with pytest.raises(GraphError, match="graph has 0 components, a tree has 1"):
+            slater_tree_beta(Graph.from_edges(0, []))
 
 
 class TestSlater:
@@ -124,12 +123,17 @@ class TestForest:
         assert is_resolving(g, res.witness)
 
     def test_rejects_cycles(self):
-        with pytest.raises(NotAForestError):
+        with pytest.raises(GraphError, match="graph contains a cycle"):
             forest_beta(cycle_graph(3))
         # one cycle among trees and isolated vertices: k = n - m fails by one
         for g in (disjoint_union(cycle_graph(3), Graph.from_edges(4, [])), disjoint_union(path_graph(5), cycle_graph(4))):
-            with pytest.raises(NotAForestError, match="graph contains a cycle"):
+            with pytest.raises(GraphError, match="graph contains a cycle"):
                 forest_beta(g)
+
+    @pytest.mark.parametrize("entry", [forest_beta, graph_beta, brute_force_beta])
+    def test_rejects_the_empty_graph(self, entry):
+        with pytest.raises(GraphError, match="^empty graph$"):
+            entry(Graph.from_edges(0, []))
 
     def test_single_isolated_vertex(self):
         assert forest_beta(Graph.from_edges(1, [])).beta == 1
@@ -170,15 +174,15 @@ class TestBruteForce:
         assert res.beta == 1 and res.witness == (0,)
 
     def test_cap(self):
-        with pytest.raises(SizeCapError):
+        with pytest.raises(GraphError, match="n=13 exceeds size cap 12"):
             brute_force_beta(path_graph(13))
 
     def test_ceiling_holds_whatever_the_cap(self):
         # a star one vertex above the ceiling would search for about 15 s
         star = star_graph(BRUTE_MAX_VERTICES)
-        with pytest.raises(SizeCapError, match=f"ceiling of {BRUTE_MAX_VERTICES} vertices"):
+        with pytest.raises(GraphError, match=f"ceiling of {BRUTE_MAX_VERTICES} vertices"):
             brute_force_beta(star, size_cap=star.n)
-        with pytest.raises(SizeCapError, match="ceiling"):
+        with pytest.raises(GraphError, match="ceiling"):
             graph_beta(disjoint_union(cycle_graph(star.n), path_graph(2)), brute_cap=star.n)
         check_brute_size(BRUTE_MAX_VERTICES, 40)  # the ceiling itself is searched
 
@@ -246,8 +250,12 @@ class TestGraphBeta:
         assert graph_beta(g).beta == 2 + 1
 
     def test_large_non_tree_component_raises(self):
-        with pytest.raises(ComponentTooLargeError):
+        # one refusal type for every entry; `mdim mc` reads the fields to exclude the replicate
+        with pytest.raises(ComponentTooLargeError) as info:
             graph_beta(cycle_graph(20))
+        assert isinstance(info.value, GraphError)
+        assert (info.value.size, info.value.edges, info.value.cap) == (20, 20, 12)
+        assert str(info.value) == "non-tree component of size 20 exceeds cap 12"
 
     def test_composition_matches_whole_graph_brute_force(self):
         g = disjoint_union(cycle_graph(4), Graph.from_edges(2, []), path_graph(2))
@@ -421,7 +429,7 @@ class TestForestBetas:
     def test_rejects_a_partial_block_and_a_cycle(self):
         with pytest.raises(GraphError, match="n=5 is not a whole number of blocks of 2 vertices"):
             forest_betas(path_graph(5), 2)
-        with pytest.raises(NotAForestError, match="graph contains a cycle"):
+        with pytest.raises(GraphError, match="graph contains a cycle"):
             forest_betas(disjoint_union(path_graph(3), cycle_graph(3)), 3)
 
     def test_empty_union(self):
