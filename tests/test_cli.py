@@ -19,11 +19,11 @@ def run_cli(capsys, *args):
 
 
 class TestExactAndBrute:
-    def test_exact(self, capsys, star_file):
-        code, out = run_cli(capsys, "exact", "--graph", star_file)
-        assert code == 0
-        doc = json.loads(out)
-        assert doc == {"beta": 2, "witness": [2, 3]}
+    def test_exact(self, capsys, star_file, tmp_path):
+        isolated = tmp_path / "isolated.txt"
+        isolated.write_text("3 0\n")
+        for path, doc in [(star_file, {"beta": 2, "witness": [2, 3]}), (isolated, {"beta": 2, "witness": [0, 1]})]:
+            assert run_cli(capsys, "exact", "--graph", str(path)) == (0, json.dumps(doc) + "\n")
 
     def test_brute(self, capsys, star_file):
         code, out = run_cli(capsys, "brute", "--graph", star_file)
@@ -417,6 +417,34 @@ class TestMonteCarlo:
         assert text.startswith("replicate,beta\n")
         assert "# summary" in text
 
+    @pytest.mark.parametrize(
+        "model, args, replicates",
+        [
+            ("uniform-tree", "--n 1000 --seed 5", 4),
+            ("uniform-forest", "--n 500 --seed 5", 4),
+            ("gnp", "--n 2000 --c 0.5 --seed 5", 4),
+            ("uniform-tree", "--n 200000 --seed 7", 1),
+            ("uniform-forest", "--n 1000 --seed 7", 1),
+        ],
+    )
+    def test_mc_matches_exact_on_each_stream(self, tmp_path, capsys, model, args, replicates):
+        # replicate i of `mc` and `exact` on stream i's sample give the same beta:
+        # the partition a uniform sampler hands over against hook-and-compress on
+        # the parsed graph, and for G(n,p) (forests on these streams) the labels
+        # `Graph.component_labels` computes
+        args = args.split()
+        code, out = run_cli(capsys, "mc", "--model", model, *args, "--replicates", str(replicates), "--format", "json")
+        assert code == 0
+        betas = json.loads(out)["betas"]
+        sampler = "sample-" + model.removeprefix("uniform-")
+        path = tmp_path / "g.txt"
+        for stream in range(replicates):
+            code, graph = run_cli(capsys, sampler, *args, "--stream", str(stream))
+            assert code == 0
+            path.write_text(graph)
+            code, out = run_cli(capsys, "exact", "--graph", str(path))
+            assert (code, json.loads(out)["beta"]) == (0, betas[stream]), stream
+
     def test_mc_stdout_json(self, capsys):
         code, out = run_cli(
             capsys,
@@ -566,8 +594,8 @@ class TestParser:
         assert parser_output(capsys, main, argv) == expected
 
 
-def fresh_python_stdout(code):
-    """stdout of `code` run by a new interpreter that imports mdim from src/."""
+def fresh_python(*args):
+    """A new interpreter run with `args`, importing mdim from src/."""
     import os
     import subprocess
     import sys
@@ -575,9 +603,23 @@ def fresh_python_stdout(code):
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def fresh_python_stdout(code):
+    """stdout of `code` run by a new interpreter."""
+    run = fresh_python("-c", code)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_python_m_mdim_cli(tmp_path):
+    # the module's __main__ guard: `python -m mdim.cli` needs no installed console script
+    assert fresh_python("-m", "mdim.cli", "--help").returncode == 0
+    path = tmp_path / "triangle.txt"
+    path.write_text("3 3\n0 1\n1 2\n0 2\n")
+    run = fresh_python("-m", "mdim.cli", "exact", "--graph", str(path))
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", "mdim: error: graph contains a cycle\n")
 
 
 class TestDependencies:

@@ -1,18 +1,18 @@
 """Golden witnesses for the public solvers on fixed seeded samples, and
-golden hashes of the samplers' exact output and of the exact series output.
+golden hashes of the samplers' edge sets and of `mdim` output.
 
 A change to any witness a solver returns, not only to beta, fails here.
 Each witness is written as whitespace-separated labels; beta is its length.
 The hashes pin the edge sets themselves, so a sampler change that keeps
-every beta still fails, and they pin `mdim series`, `mdim dist`,
-`mdim constants`, `mdim c-curve` and `mdim mc` runs byte for byte, the normality
+every beta still fails. Every pinned `mdim` stdout is a row of
+`CLI_SHA256`, keyed by its command line: `series`, `dist`, `constants`,
+`c-curve`, the samplers and `mc` runs, byte for byte, the normality
 statistics among them.
 """
 
 import contextlib
 import hashlib
 import io
-import json
 from itertools import combinations
 
 import pytest
@@ -305,46 +305,6 @@ GNP_SHA256 = {
     ),
 }
 
-# sha256 of the stdout of `mdim mc --model gnp --c 0.5 --n 10000 --replicates 30
-# --format json --seed 4`
-MC_GNP_SHA256 = "ce72780a8b1b6209aa6dfa288d75145b6396e836ec3a2566e895b1b275796c9b"
-
-# the same for `--c 0.9 --n 4000 --replicates 100`, near the critical point:
-# 31 replicates are excluded, and small cyclic components go to brute force
-MC_GNP_CRITICAL_SHA256 = "67dbc6ad0bae34348737ad34547f183ae7051d0d1e13dfaf86fa85b2e6db8559"
-
-# the same for `mdim mc --model M --n N --replicates 50 --format json --seed 4`
-MC_UNIFORM_SHA256 = {
-    ("uniform-tree", 1000): "0bddc43a3929a5cd2383b4468f5c53096dafe78bbe0cbaf9c4ca019d1009d9a2",
-    ("uniform-forest", 500): "0a1eec30e9e6943ac6117ae3fa70dc46411532c1a34e94c942b3e3c2db669545",
-}
-
-# The runs above have fewer than 100 included replicates, so they print no
-# normality statistics. These pin ks_statistic, skewness and excess_kurtosis:
-# sha256 of the stdout of `mdim mc --model uniform-tree --n 100 --replicates 300
-# --seed S`, seeds 0-9. Phi computed as 0.5 * erfc(-z / sqrt(2)) instead of
-# Cephes' ndtr changes the printed ks_statistic at seeds 1, 3 and 9, and in
-# the gnp run of MC_KS_SHA256.
-MC_KS_TREE_SHA256 = (
-    "b1be542eeb596af2e20a1c9f8a101530a6b0568e2e43210bae1ef758004f31da",
-    "11d1af5895b235ea8183852dc5b688fab2a215725df18d7b76ffc6c36480f8af",
-    "9642a47cba180027624a0ab6e7edc999ff74297d259e1f807c0c5f6b01de3a56",
-    "38d47dfaf755d5ac47237644867c867de29ee3dffed86aa8e1f76734db5e8f96",
-    "3ebdeacaf6e6eef95766930841a6f42f207340efec4c114c2c992c3a7bb9f1b5",
-    "c25d0b14579f5ffaf4b75fe21e2aa999a690f54be0b6dce294fea456fda23aa1",
-    "b818f1f36adaf124dcf83bfa131c3d152c42f3c3b9e788139d79cd85fa67115c",
-    "725f8f07f3378163f74704cb5e6024617bd2f35326df28fc2b356a0fb8dec307",
-    "4748e75743c91a0129d1f421bf942755f0dbb87fbb9e99ad3ee9455b154f0207",
-    "5478226edaa3b826f28e16f0ae62c1a1d4df69a27a2f0b0e563a62b9cb317e50",
-)
-
-# sha256 of the stdout of `mdim mc ... --replicates 200 --format json --seed 4`;
-# all 200 replicates are included in both
-MC_KS_SHA256 = {
-    ("uniform-forest", "--n", "100"): "fb82be3c5269d3572c7504510857931001e28127cd1699ee84ffbe299b95ff73",
-    ("gnp", "--c", "0.5", "--n", "1000"): "fff412a5f6a35700b43998219ceb11ab191e947cced3a6c0866a27674a67e644",
-}
-
 
 @pytest.mark.parametrize("seed", sorted(TREE_300))
 def test_slater_tree_beta(seed):
@@ -448,20 +408,120 @@ def test_sample_gnp_edges(n, p):
     assert got == GNP_SHA256[n, p]
 
 
-# sha256 of the stdout of `mdim series --order 24 --which W [--at-y]`
-SERIES_24_SHA256 = {
-    ("P", False): "fa9a380a87851e2727e33a955ba05a416da0b52f4da69820f7924c4839bb78a7",
-    ("P", True): "089fc96f23a35cf6d80cc976340a3ca2756b02ccaf12ae0afdca5e48e10581d7",
-    ("U", False): "f6cb6836b7535a6e5727d1a9f0914a6239dac93ca3c0b14ea56e02cb1b7f12af",
-    ("U", True): "74e42dcf3c0df35d8585a8e90f559c029847aabca466dc5405ef43977aa144df",
-    ("V", False): "24b634f86134e39a28c4cecc67399cfa6d8c87d28aa3aaa42d37649acac79ec4",
-    ("V", True): "2cbc1a7a9d5782cbde40330b7011a98d50f37212aee3b1170578c6822cc659cc",
-    ("S", False): "682fe99c161a675d1936f37999986b1d325f72db36056435f5102475cf5c329d",
-    ("S", True): "bf8a891f5a4070285a742f4f380e77f843a685f7aa383a4d785a79d5c717cf66",
-    ("T", False): "2935645ff097c2530681fd1fde5b75f452ad864a5acdfd48477b1aa10308e1ac",
-    ("T", True): "642ac896f7853fc1f64f295f8c4681f6dce2fdaa5b6f032f427068fd88977a93",
-    ("G", False): "8487a694434eb8ea49818e4728d01d41d82abbb0ec31242f6fb6a72b28a26ffb",
-    ("G", True): "aaa38a07a8ead233c2edde8c98ee521e6d7cc81542b9e76e77ad5e42f8142222",
+# sha256 of the stdout of each `mdim` command line. A digest pins every
+# printed digit, so it also pins these facts:
+# - `constants` prints rho(1) = 1/(e - 1), rho'(1), rho''(1), the R values, mu
+#   and sigma^2;
+# - `c-curve` prints a header and 100 rows, c = 0, 0.01, ..., 0.99;
+# - G(4000, 0.9/n) at seed 4 excludes 31 of 100 replicates, and G(400, 0.9/n)
+#   at the default seed 7 excludes 7 of 20;
+# - each `mc` run of the last group prints ks_statistic, skewness and
+#   excess_kurtosis.
+CLI_SHA256 = {
+    # the exact series at orders 24 and 45: any change to an exact rational shows
+    "series --order 24 --which G":
+        "8487a694434eb8ea49818e4728d01d41d82abbb0ec31242f6fb6a72b28a26ffb",
+    "series --order 24 --which G --at-y":
+        "aaa38a07a8ead233c2edde8c98ee521e6d7cc81542b9e76e77ad5e42f8142222",
+    "series --order 24 --which P":
+        "fa9a380a87851e2727e33a955ba05a416da0b52f4da69820f7924c4839bb78a7",
+    "series --order 24 --which P --at-y":
+        "089fc96f23a35cf6d80cc976340a3ca2756b02ccaf12ae0afdca5e48e10581d7",
+    "series --order 24 --which S":
+        "682fe99c161a675d1936f37999986b1d325f72db36056435f5102475cf5c329d",
+    "series --order 24 --which S --at-y":
+        "bf8a891f5a4070285a742f4f380e77f843a685f7aa383a4d785a79d5c717cf66",
+    "series --order 24 --which T":
+        "2935645ff097c2530681fd1fde5b75f452ad864a5acdfd48477b1aa10308e1ac",
+    "series --order 24 --which T --at-y":
+        "642ac896f7853fc1f64f295f8c4681f6dce2fdaa5b6f032f427068fd88977a93",
+    "series --order 24 --which U":
+        "f6cb6836b7535a6e5727d1a9f0914a6239dac93ca3c0b14ea56e02cb1b7f12af",
+    "series --order 24 --which U --at-y":
+        "74e42dcf3c0df35d8585a8e90f559c029847aabca466dc5405ef43977aa144df",
+    "series --order 24 --which V":
+        "24b634f86134e39a28c4cecc67399cfa6d8c87d28aa3aaa42d37649acac79ec4",
+    "series --order 24 --which V --at-y":
+        "2cbc1a7a9d5782cbde40330b7011a98d50f37212aee3b1170578c6822cc659cc",
+    "series --order 45 --which T":
+        "d23ac8166c8576aa51c64011f484468e5bcb01b8b5621654651a219e6eed5549",
+    "series --order 45 --which G":
+        "e53f381728c264b87fcbecc570af4664fa69a532a22f18844b9611426f1837bb",
+    "series --order 45 --which P":
+        "c068f0ea83ac5c26aedddcb94334e4424bec1cec7d24a92a194a758e439a874e",
+    "series --order 45 --which U":
+        "cfe6b711ab5d068697d59b25f7db4216e432c188fe265ca59b36925a8bea1c22",
+    "series --order 45 --which V":
+        "53f37399b196c91eb841b62cfa15d1a66a3207ef2b3a94e66dd7a2a9d7f99679",
+    "series --order 45 --which S":
+        "96608ed12e25310ae073e2b85468127be55380edcc7add6a0bf1ab0c614da247",
+    "series --order 45 --which T --at-y":
+        "9917e582ce3cce1f2aa645db1c5fb64d676daeb5a78c87a44cda99aa69e62f83",
+    "dist --model tree --n 45":
+        "ab9cd52442bf89b3a619a6935cd18b122a41f4e94f1c400045b7c63b32503463",
+    "dist --model forest --n 45":
+        "cd99fd84721db59aca3f72828af6b90e4d10ed12167b9016b7f38836b38b479b",
+    "constants":
+        "6b53631b462faa31a252cf2f03d7797b33941caafbb427683c36b5c85b401715",
+    "c-curve":
+        "aeae03282d65360b652ccd75db02de9042905250bbfe239aa80c9c44fe3e1833",
+    # the whole count table at `MAX_FOREST_VERTICES`, with the recurrence check at
+    # m = 2000, and a Pruefer decode at `MAX_VERTICES`
+    "sample-forest --n 2000 --seed 3 --stream 1":
+        "d4b47774aec6391043c90445b954ab7134fd58ea63d8247cf2356dacbfaf3caf",
+    "sample-tree --n 1000000 --seed 7":
+        "15e2fe0af2f5bdab438f7be554fbf57436909990bdcd5e7aaa5f4a8b5a316139",
+    # G(n, c/n); at c = 0.9 small cyclic components go to brute force. The n = 400
+    # run is solved in two chunks of 10 replicates: the same bytes as one at a time
+    "mc --model gnp --c 0.5 --n 10000 --replicates 30 --format json --seed 4":
+        "ce72780a8b1b6209aa6dfa288d75145b6396e836ec3a2566e895b1b275796c9b",
+    "mc --model gnp --c 0.9 --n 4000 --replicates 100 --format json --seed 4":
+        "67dbc6ad0bae34348737ad34547f183ae7051d0d1e13dfaf86fa85b2e6db8559",
+    "mc --model gnp --c 0.9 --n 400 --replicates 20 --format json":
+        "01dc9d26d5b5590a9724e94eb18bedf2b26af7e59510ac16f57aa3669e6475a6",
+    # the uniform models, sampled a chunk at a time with one Pruefer decode a chunk,
+    # each chunk solved as one union: the same bytes as one tree at a time. At
+    # n = 6 the isolated-vertex rule applies per block (682 forests a chunk); at
+    # n = 1 every block is one vertex
+    "mc --model uniform-tree --n 1000 --replicates 50 --format json --seed 4":
+        "0bddc43a3929a5cd2383b4468f5c53096dafe78bbe0cbaf9c4ca019d1009d9a2",
+    "mc --model uniform-forest --n 500 --replicates 50 --format json --seed 4":
+        "0a1eec30e9e6943ac6117ae3fa70dc46411532c1a34e94c942b3e3c2db669545",
+    "mc --model uniform-tree --n 1000 --replicates 800 --seed 5 --format json":
+        "df70a2f8871ac45b176ce06213a1d07e450c9ded8ee6bbf273b0af502a095b2a",
+    "mc --model uniform-forest --n 500 --replicates 500 --seed 5 --format json":
+        "afcd20307bc2627f5948886a4d55353ed53abb0a48e3648fe8c20b0ea0da7c58",
+    "mc --model uniform-forest --n 6 --replicates 2000 --seed 5 --format json":
+        "d938b14bdfcbcfac2a88a6cc624c89e9a3274cc82ed5db3de9b8a9fbb75a870b",
+    "mc --model uniform-tree --n 1 --replicates 150 --seed 5 --format json":
+        "242b2dab53ad9c4a6c6ceaf2b36d17a4d64a64bf4fe33960a23e9323e5c44609",
+    # the normality statistics. Phi computed as 0.5 * erfc(-z / sqrt(2)) instead of
+    # Cephes' ndtr changes the printed ks_statistic at tree seeds 1, 3 and 9, and in
+    # the gnp run
+    "mc --model uniform-tree --n 100 --replicates 300 --seed 0":
+        "b1be542eeb596af2e20a1c9f8a101530a6b0568e2e43210bae1ef758004f31da",
+    "mc --model uniform-tree --n 100 --replicates 300 --seed 1":
+        "11d1af5895b235ea8183852dc5b688fab2a215725df18d7b76ffc6c36480f8af",
+    "mc --model uniform-tree --n 100 --replicates 300 --seed 2":
+        "9642a47cba180027624a0ab6e7edc999ff74297d259e1f807c0c5f6b01de3a56",
+    "mc --model uniform-tree --n 100 --replicates 300 --seed 3":
+        "38d47dfaf755d5ac47237644867c867de29ee3dffed86aa8e1f76734db5e8f96",
+    "mc --model uniform-tree --n 100 --replicates 300 --seed 4":
+        "3ebdeacaf6e6eef95766930841a6f42f207340efec4c114c2c992c3a7bb9f1b5",
+    "mc --model uniform-tree --n 100 --replicates 300 --seed 5":
+        "c25d0b14579f5ffaf4b75fe21e2aa999a690f54be0b6dce294fea456fda23aa1",
+    "mc --model uniform-tree --n 100 --replicates 300 --seed 6":
+        "b818f1f36adaf124dcf83bfa131c3d152c42f3c3b9e788139d79cd85fa67115c",
+    "mc --model uniform-tree --n 100 --replicates 300 --seed 7":
+        "725f8f07f3378163f74704cb5e6024617bd2f35326df28fc2b356a0fb8dec307",
+    "mc --model uniform-tree --n 100 --replicates 300 --seed 8":
+        "4748e75743c91a0129d1f421bf942755f0dbb87fbb9e99ad3ee9455b154f0207",
+    "mc --model uniform-tree --n 100 --replicates 300 --seed 9":
+        "5478226edaa3b826f28e16f0ae62c1a1d4df69a27a2f0b0e563a62b9cb317e50",
+    "mc --model uniform-forest --n 100 --replicates 200 --format json --seed 4":
+        "fb82be3c5269d3572c7504510857931001e28127cd1699ee84ffbe299b95ff73",
+    "mc --model gnp --c 0.5 --n 1000 --replicates 200 --format json --seed 4":
+        "fff412a5f6a35700b43998219ceb11ab191e947cced3a6c0866a27674a67e644",
 }
 
 # sha256 of the stdouts of `mdim dist --model M --n N`, concatenated over N = 1..20
@@ -469,14 +529,6 @@ DIST_1_TO_20_SHA256 = {
     "tree": "8ae75d4ab69eec5754d062aab49f88bd20e096209bbc2c261b137268758ad20f",
     "forest": "383b19fbe26eff39c7aba86985955b441a83d1749e8b8794b28fbbc5d9f4cbd2",
 }
-
-# sha256 of the stdout of `mdim constants`: rho(1), rho'(1), rho''(1), the R
-# values, mu and sigma^2, each printed to its last digit
-CONSTANTS_SHA256 = "6b53631b462faa31a252cf2f03d7797b33941caafbb427683c36b5c85b401715"
-
-# sha256 of the stdout of `mdim c-curve` on its default grid c = 0, 0.01, ..., 0.99:
-# the header and 100 rows of C(c), each printed to its last digit
-C_CURVE_SHA256 = "aeae03282d65360b652ccd75db02de9042905250bbfe239aa80c9c44fe3e1833"
 
 
 def cli_stdout(*argv):
@@ -486,60 +538,13 @@ def cli_stdout(*argv):
     return out.getvalue()
 
 
-@pytest.mark.parametrize("which,at_y", sorted(SERIES_24_SHA256))
-def test_series_output(which, at_y):
-    argv = ["series", "--order", "24", "--which", which] + (["--at-y"] if at_y else [])
-    got = hashlib.sha256(cli_stdout(*argv).encode()).hexdigest()
-    assert got == SERIES_24_SHA256[which, at_y]
-
-
-def test_mc_gnp_output():
-    argv = ["mc", "--model", "gnp", "--c", "0.5", "--n", "10000", "--replicates", "30"]
-    text = cli_stdout(*argv, "--format", "json", "--seed", "4")
-    assert hashlib.sha256(text.encode()).hexdigest() == MC_GNP_SHA256
-
-
-def test_mc_gnp_critical_output():
-    argv = ["mc", "--model", "gnp", "--c", "0.9", "--n", "4000", "--replicates", "100"]
-    text = cli_stdout(*argv, "--format", "json", "--seed", "4")
-    assert json.loads(text)["summary"]["excluded"] == 31
-    assert hashlib.sha256(text.encode()).hexdigest() == MC_GNP_CRITICAL_SHA256
-
-
-@pytest.mark.parametrize("model,n", sorted(MC_UNIFORM_SHA256))
-def test_mc_uniform_output(model, n):
-    argv = ["mc", "--model", model, "--n", str(n), "--replicates", "50"]
-    text = cli_stdout(*argv, "--format", "json", "--seed", "4")
-    assert hashlib.sha256(text.encode()).hexdigest() == MC_UNIFORM_SHA256[model, n]
-
-
-@pytest.mark.parametrize("seed", range(len(MC_KS_TREE_SHA256)))
-def test_mc_ks_tree_output(seed):
-    argv = ["mc", "--model", "uniform-tree", "--n", "100", "--replicates", "300"]
-    text = cli_stdout(*argv, "--seed", str(seed))
-    assert "\nks_statistic," in text
-    assert hashlib.sha256(text.encode()).hexdigest() == MC_KS_TREE_SHA256[seed]
-
-
-@pytest.mark.parametrize("args", sorted(MC_KS_SHA256))
-def test_mc_ks_output(args):
-    argv = ["mc", "--model", *args, "--replicates", "200"]
-    text = cli_stdout(*argv, "--format", "json", "--seed", "4")
-    assert '"ks_statistic"' in text
-    assert hashlib.sha256(text.encode()).hexdigest() == MC_KS_SHA256[args]
+@pytest.mark.parametrize("argv", list(CLI_SHA256))
+def test_cli_output(argv):
+    got = hashlib.sha256(cli_stdout(*argv.split()).encode()).hexdigest()
+    assert got == CLI_SHA256[argv]
 
 
 @pytest.mark.parametrize("model", sorted(DIST_1_TO_20_SHA256))
 def test_dist_output(model):
     text = "".join(cli_stdout("dist", "--model", model, "--n", str(n)) for n in range(1, 21))
     assert hashlib.sha256(text.encode()).hexdigest() == DIST_1_TO_20_SHA256[model]
-
-
-def test_constants_output():
-    assert hashlib.sha256(cli_stdout("constants").encode()).hexdigest() == CONSTANTS_SHA256
-
-
-def test_c_curve_output():
-    text = cli_stdout("c-curve")
-    assert len(text.splitlines()) == 101
-    assert hashlib.sha256(text.encode()).hexdigest() == C_CURVE_SHA256
