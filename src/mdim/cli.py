@@ -70,6 +70,8 @@ def _frac(x) -> str:
 
 
 def cmd_series(args) -> int:
+    from math import factorial, gcd
+
     from .series import series_system
 
     sys_ = series_system(args.order, at_y=args.at_y)
@@ -77,7 +79,10 @@ def cmd_series(args) -> int:
     key = (lambda b: f"y^{b}") if args.at_y else (lambda k: f"u^{k[0]} v^{k[1]}")
     doc = {"which": args.which, "order": args.order, "coefficients": {}}
     for n in range(args.order + 1):
-        terms = {key(k): _frac(c) for k, c in sorted(series.coefficient(n).items())}
+        den, terms = factorial(n), {}
+        for k, c in sorted(series.count_poly(n).terms.items()):  # [x^n] = c / n!, in lowest terms
+            g = gcd(c, den)
+            terms[key(k)] = f"{c // g}/{den // g}" if g != den else str(c // g)
         if terms:
             doc["coefficients"][str(n)] = terms
     print(json.dumps(doc, indent=2))

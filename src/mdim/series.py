@@ -8,9 +8,11 @@ leaf, and substituting (u, v) = (y, 1/y) turns the exponent difference
 deg_u - deg_v into the metric dimension mark.
 
 `series_system` is the one builder of the chain: mobiles P (implicitly
-defined), the split P = ux + U + V by whether the root touches a leaf,
-unrooted degree-2-free trees S, the edge-subdivision substitution
-T = (1-x) S(x/(1-x)), and finally forests G, built only when read.  The
+defined, and solved from the log-derivative of their equation, which needs
+one folded square P^2 per order and no exp(P)), the split P = ux + U + V by
+whether the root touches a leaf, unrooted degree-2-free trees S, the
+edge-subdivision substitution T = (1-x) S(x/(1-x)), and finally forests G.
+U, V, exp(P), which only U and V read, and G are built only when read.  The
 chain is written once; its marks u and v are parameters, and their ring
 decides how every count is held:
 
@@ -388,23 +390,43 @@ def x_times(order: int, poly: _Coeff, power: int = 1) -> TruncatedSeries:
 
 
 def _solve_P(order: int, u: _Coeff, v: _Coeff) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """Solve the mobile equation for P (see `series_system`); return P and exp(P).
+    """Solve the mobile equation for P (see `series_system`); return P and P^2.
 
-    Every appearance of P on the right carries a factor x, so the x^n count
-    only needs counts of order < n: the fixed point is reached coefficient by
-    coefficient, updating exp(P) incrementally along the way.
+    With the base terms b = (u-1)x + cx^2, c = u(1-v), the equation reads
+    x q exp(P) = R for R = (1+x)P - b.  D = q exp(ux) = 1 + v(exp(ux) - 1)
+    has D' - uD = -c, so the log-derivative of x D exp(P - ux) = R, times
+    x D R, is free of exp(P):
+        D H = -c x R,   H = x P' W - (P - b + x b'),   W = (1+x)(1-P) + b.
+    As x P' W = (1 + ux + cx^2) x P' - (1+x) x (P^2)'/2, the square P^2 is
+    the only product of two unknown series, and each product with D is by
+    its single-term counts D_0 = 1, D_k = v u^k.  At x^n, P_n enters x P' as
+    n P_n and P - b + x b' as P_n, so 2H_n is 2(n-1) P_n plus counts of
+    order < n: `exact_div` recovers P_n from P_1 = u, and its remainder
+    check verifies every order.
     """
-    one = u.const(1)
-    a = [one.const(0)]  # counts of P
-    e = [one]  # counts of exp(P)
-    # q = v + (1-v) exp(-ux)
-    q = (x_times(order, u.scale(-1)).exp().poly_mul(one - v) + x_times(order, v, 0)).counts
-    # the base terms (u - 1)x + u(1 - v)x^2
-    base = (x_times(order, u - one) + x_times(order, u * (one - v), 2)).counts
-    for n in range(1, order + 1):
-        a.append((_conv(q, e, n - 1) - a[n - 1]).scale(n) + base[n])
-        e.append(_conv(a[1:], e, n - 1))
-    return TruncatedSeries(order, a), TruncatedSeries(order, e)
+    zero, one = u.const(0), u.const(1)
+    c = u * (one - v)
+    base = (x_times(order, u - one) + x_times(order, c, 2)).counts  # counts of b
+    d = [one, u * v]  # counts of D
+    for _ in range(2, order + 1):
+        d.append(d[-1] * u)
+    # counts of P, P^2, 2H and R, through x^1
+    p, sq, h2, r = [zero, u], [zero, zero], [zero, zero], [zero, one]
+    for n in range(2, order + 1):
+        m = n - 1
+        sq.append(_conv(p, p, n))
+        h2.append(  # 2H_n without its 2(n-1) P_n
+            (u * p[m]).scale(2 * n * m)
+            + (c * p[m - 1]).scale(2 * n * m * (m - 1))
+            - sq[n].scale(n)
+            - sq[m].scale(n * m)
+            - base[n].scale(2 * m)
+        )
+        pn = ((c * r[m]).scale(-2 * n) - _conv(d, h2, n)).exact_div(2 * m).tightened()
+        h2[n] = h2[n] + pn.scale(2 * m)
+        p.append(pn)
+        r.append(pn + p[m].scale(n) - base[n])
+    return TruncatedSeries(order, p[: order + 1]), TruncatedSeries(order, sq[: order + 1])
 
 
 def tree_series(S: TruncatedSeries) -> TruncatedSeries:
@@ -476,18 +498,21 @@ class SeriesSystem:
     """The chain at one truncation order, each series built at most once.
 
     u marks leaves and v non-leaf vertices (y and 1/y in the y-collapsed
-    chain); E = exp(P) is a by-product of solving for P.  The tree chain
-    P -> S -> T is solved on construction.  U, V and G are leaves that
-    nothing else in the chain reads, so each is built on its first read and
-    cached in the instance `__dict__`.
+    chain).  The tree chain P -> S -> T is solved on construction.  U, V and
+    G are leaves that nothing else in the chain reads, and E = exp(P) is
+    read only by U and V, so each is built on its first read and cached in
+    the instance `__dict__`.
     """
 
     def __init__(
-        self, order: int, u: _Coeff, v: _Coeff,
-        P: TruncatedSeries, E: TruncatedSeries, S: TruncatedSeries, T: TruncatedSeries,
+        self, order: int, u: _Coeff, v: _Coeff, P: TruncatedSeries, S: TruncatedSeries, T: TruncatedSeries
     ):
         self.order, self.u, self.v = order, u, v
-        self.P, self.E, self.S, self.T = P, E, S, T
+        self.P, self.S, self.T = P, S, T
+
+    @cached_property
+    def E(self) -> TruncatedSeries:
+        return self.P.exp()
 
     @cached_property
     def _exp_A(self) -> TruncatedSeries:
@@ -508,11 +533,11 @@ class SeriesSystem:
         return forest_series(self.T, self.u, self.v)
 
 
-# Bivariate `series` needs the cap: its tree chain takes 0.21-0.25 s at order
-# 45 and 0.30-0.37 s at 50, and `--which G` adds 0.87-1.09 s and 1.6-2.1 s for
-# the forest exponential, so the whole build nearly doubles from 45 to 50.  The
-# packed y-collapsed chain of `dist` and `series --at-y` takes 0.07-0.08 +
-# 0.03-0.04 s (G) at order 50 and 2.2-3.0 + 1.4-1.8 s at 100 (Python 3.11,
+# Bivariate `series` needs the cap: its tree chain takes 0.07-0.13 s at order
+# 45 and 0.10-0.17 s at 50, and `--which G` adds 0.56-1.04 s and 1.1-1.6 s for
+# the forest exponential, so the whole build roughly doubles from 45 to 50.
+# The packed y-collapsed chain of `dist` and `series --at-y` takes 0.02-0.04 +
+# 0.02-0.04 s (G) at order 50 and 0.58-1.07 + 1.1-1.9 s at 100 (Python 3.11,
 # 2-core x86-64 host shared with other jobs).
 MAX_ORDER = 100
 
@@ -528,6 +553,7 @@ def series_system(order: int, at_y: bool = False) -> SeriesSystem:
     Mobiles are rooted trees with a root half-edge and no degree-2 vertices.
     Their series P(x, u, v) is the unique zero-constant-term solution of
         P = (u-1)x + u(1-v)x^2 + (v + (1-v)exp(-ux)) x exp(P) - xP.
+    `_solve_P` solves it without exp(P) and returns P^2 with P.
     Splitting off the single-vertex mobile, P = ux + U + V with A = P - ux:
     U roots touch a leaf, U = vx(exp(P) - exp(A) - ux), and V roots do not,
     V = x(exp(A) - 1 - A), with exp(A) = exp(P) exp(-ux).  Over degree-2-free
@@ -535,9 +561,10 @@ def series_system(order: int, at_y: bool = False) -> SeriesSystem:
     once (vertices outnumber edges by one): S = S_dot - S_arrow/2.
     Substituting V, U + vV = vx(exp(P) - 1 - P) and
     P^2 = A^2 + 2uxA + u^2x^2 into that difference leaves
-        S = ux + ux^2/2 - u^2vx^3/2 + (1 - uvx^2) A - (1 + x) A^2/2;
-    then `tree_series` gives T.  U, V and G (`forest_series`) are built
-    when first read from the returned `SeriesSystem`.
+        S = ux + ux^2/2 - u^2vx^3/2 + (1 - uvx^2) A - (1 + x) A^2/2,
+    with A^2 = P^2 - 2uxP + u^2x^2 from the solver's square; then
+    `tree_series` gives T.  U, V, E = exp(P) and G (`forest_series`) are
+    built when first read from the returned `SeriesSystem`.
     """
     return _system(order, at_y)
 
@@ -555,10 +582,10 @@ def _system(order: int, at_y: bool) -> SeriesSystem:
     else:
         u, v = _P_U, _P_V
     uv = u * v
-    P, E = _solve_P(order, u, v)
+    P, P2 = _solve_P(order, u, v)
     ux = x_times(order, u)
     A = P - ux
-    A2 = A * A
+    A2 = P2 - (P * ux).scale(2) + ux * ux  # (P - ux)^2 from the solver's P^2
     S = (
         ux
         + A
@@ -566,7 +593,7 @@ def _system(order: int, at_y: bool) -> SeriesSystem:
         + (x_times(order, u, 2) - x_times(order, u * uv, 3)).half()
         - (A2 + A2.shift_x()).half()
     )
-    return SeriesSystem(order, u, v, P, E, S, tree_series(S))
+    return SeriesSystem(order, u, v, P, S, tree_series(S))
 
 
 series_system.cache_clear = _system.cache_clear

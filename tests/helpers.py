@@ -6,9 +6,9 @@ Pruefer decoder and the checked one-sequence decode, the word-by-word
 big-integer draw, Takacs' closed form and
 the recurrence for the forest counts, tree enumeration in disjoint unions
 and the blocks of a union, generic series
-composition, the count-by-count product of two series, the pointed series
-of the dissymmetry theorem, the y-collapse of a bivariate count, the
-term-by-term series for C(c), the mobile series' partial sums, a
+composition, the count-by-count product of two series, the exp-based mobile
+solver, the pointed series of the dissymmetry theorem, the y-collapse of a
+bivariate count, the term-by-term series for C(c), the mobile series' partial sums, a
 finite-difference stencil for rho, and a CSV reader for `mdim mc` output."""
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from mdim.asymptotics import _c_closed, _relation, tree_constants
 from mdim.generators import _graphs
 from mdim.graph import ComponentKind, ComponentPartition, Graph, GraphError, bfs_distances, induced_subgraph
 from mdim.metric_dimension import ComponentTooLargeError, ResolvingWitness, brute_force_beta
-from mdim.series import SeriesSystem, TruncatedSeries, UVPoly, series_system, x_times
+from mdim.series import SeriesSystem, TruncatedSeries, UVPoly, _conv, series_system, x_times
 
 
 def path_graph(n: int) -> Graph:
@@ -299,6 +299,25 @@ def conv_oracle(a: list, b: list, n: int):
         if x and y:
             acc = acc + (x * y).scale(comb(n, k))
     return acc.tightened()
+
+
+def solve_P_by_exp(order: int, u, v) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """P and exp(P) by the mobile equation as written, the check on
+    `mdim.series._solve_P`, which solves its exp-free log-derivative instead.
+
+    P = (u-1)x + u(1-v)x^2 + q x exp(P) - xP with q = v + (1-v) exp(-ux):
+    every P on the right carries a factor x, so the x^n count needs only
+    counts of order < n, and exp(P) is updated alongside, count by count.
+    """
+    one = u.const(1)
+    a = [one.const(0)]  # counts of P
+    e = [one]  # counts of exp(P)
+    q = (x_times(order, u.scale(-1)).exp().poly_mul(one - v) + x_times(order, v, 0)).counts
+    base = (x_times(order, u - one) + x_times(order, u * (one - v), 2)).counts
+    for n in range(1, order + 1):
+        a.append((_conv(q, e, n - 1) - a[n - 1]).scale(n) + base[n])
+        e.append(_conv(a[1:], e, n - 1))
+    return TruncatedSeries(order, a), TruncatedSeries(order, e)
 
 
 def pointed_series(sys_: SeriesSystem) -> tuple[TruncatedSeries, TruncatedSeries]:

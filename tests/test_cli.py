@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -272,14 +273,47 @@ class TestSeriesCommands:
         ids=" ".join,
     )
     def test_tree_reads_skip_forest_series(self, capsys, monkeypatch, argv):
+        # nor any series exponential: the mobile solver needs no exp(P)
         import mdim.series
 
         def no_forest(T, u, v):
             raise AssertionError("forest series built for a read that needs only the tree chain")
 
+        def no_exp(self):
+            raise AssertionError("series exponential taken for a read that needs only the tree chain")
+
         monkeypatch.setattr(mdim.series, "forest_series", no_forest)
+        monkeypatch.setattr(mdim.series.TruncatedSeries, "exp", no_exp)
         mdim.series.series_system.cache_clear()
         assert main(argv) == 0
+
+    def test_exp_P_built_once_for_U_and_V(self, capsys, monkeypatch):
+        # E = exp(P) is built on the first read of U and shared with V
+        import mdim.series
+
+        real, calls = mdim.series.TruncatedSeries.exp, []
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(mdim.series.TruncatedSeries, "exp", counted)
+        mdim.series.series_system.cache_clear()
+        assert main(["series", "--order", "12", "--which", "U"]) == 0
+        assert main(["series", "--order", "12", "--which", "V"]) == 0
+        P = mdim.series.series_system(12).P
+        assert sum(s is P for s in calls) == 1
+
+    def test_dist_at_max_order(self, capsys):
+        # the widest slots of the y-collapsed chain decode without tripping
+        # the guard, and the n = 100 counts are exact
+        from mdim.series import MAX_ORDER, series_system
+
+        code, out = run_cli(capsys, "dist", "--model", "tree", "--n", str(MAX_ORDER))
+        assert code == 0
+        assert sum(map(Fraction, json.loads(out)["pmf"].values())) == 1
+        T = series_system(MAX_ORDER, at_y=True).T
+        assert sum(T.count_poly(MAX_ORDER).terms.values()) == MAX_ORDER ** (MAX_ORDER - 2)  # Cayley
 
     def test_dist_builds_forest_series_once(self, capsys, monkeypatch):
         # the benchmark's exact op2: `dist` tree, then forest, in one process

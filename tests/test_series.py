@@ -7,15 +7,26 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import block_edges, compose, conv_oracle, enumerate_trees, pointed_series, y_collapse
+from helpers import (
+    block_edges,
+    compose,
+    conv_oracle,
+    enumerate_trees,
+    pointed_series,
+    solve_P_by_exp,
+    y_collapse,
+)
 from mdim.graph import Graph
 from mdim.metric_dimension import brute_force_beta, forest_beta, forest_betas
 from mdim.series import (
     _DEG_MASK,
+    MAX_ORDER,
     TruncatedSeries,
     UVPoly,
     YPoly,
     _conv,
+    _slot_width,
+    _solve_P,
     beta_distribution,
     series_system,
     tree_series,
@@ -120,12 +131,26 @@ class TestMobileSplit:
 
     def test_exp_A_from_exp_P(self):
         # exp(A) = exp(P) exp(-ux), against the series exponential of A = P - ux
-        from mdim.series import _solve_P
-
-        P, E = _solve_P(30, U, V)
+        sys30 = series_system(30)
+        P, E = sys30.P, sys30.E
         exp_mux = x_times(30, U.scale(-1)).exp()
         assert [exp_mux.count_poly(n) for n in range(31)] == [UVPoly({(n, 0): (-1) ** n}) for n in range(31)]
         assert E * exp_mux == (P - x_times(30, U)).exp()
+
+    def test_solve_P_matches_exp_oracle(self):
+        # the exp-free recursion against the mobile equation as written, and
+        # the square it returns against the product, at every truncation order
+        for order in range(31):
+            P, P2 = _solve_P(order, U, V)
+            assert P == solve_P_by_exp(order, U, V)[0], order
+            assert P2 == P * P, order
+
+    def test_solve_P_matches_exp_oracle_at_y(self):
+        width = _slot_width(MAX_ORDER)
+        y, inv_y = YPoly({1: 1}, width), YPoly({-1: 1}, width)
+        P, P2 = _solve_P(MAX_ORDER, y, inv_y)
+        assert P == solve_P_by_exp(MAX_ORDER, y, inv_y)[0]
+        assert P2 == P * P
 
     def test_U_valuation(self, sys12):
         assert valuation(sys12.U) == 3

@@ -461,6 +461,11 @@ CLI_SHA256 = {
         "ab9cd52442bf89b3a619a6935cd18b122a41f4e94f1c400045b7c63b32503463",
     "dist --model forest --n 45":
         "cd99fd84721db59aca3f72828af6b90e4d10ed12167b9016b7f38836b38b479b",
+    # `MAX_ORDER`: the widest slots of the y-collapsed chain
+    "dist --model tree --n 100":
+        "79e81a9ae07bf1c5dec427d7f45e15d25c181f39acc5a03a47990cb3846b93eb",
+    "dist --model forest --n 100":
+        "c3496816e694c4b8f04cebc4ee91ea14b4c82dab242bccec1517e890c0ef1b18",
     "constants":
         "6b53631b462faa31a252cf2f03d7797b33941caafbb427683c36b5c85b401715",
     "c-curve":
