@@ -505,7 +505,8 @@ class SeriesSystem:
     """
 
     def __init__(
-        self, order: int, u: _Coeff, v: _Coeff, P: TruncatedSeries, S: TruncatedSeries, T: TruncatedSeries
+        self, order: int, u: _Coeff, v: _Coeff,
+        P: TruncatedSeries, S: TruncatedSeries, T: TruncatedSeries,
     ):
         self.order, self.u, self.v = order, u, v
         self.P, self.S, self.T = P, S, T

@@ -8,8 +8,9 @@ the recurrence for the forest counts, tree enumeration in disjoint unions
 and the blocks of a union, generic series
 composition, the count-by-count product of two series, the exp-based mobile
 solver, the pointed series of the dissymmetry theorem, the y-collapse of a
-bivariate count, the term-by-term series for C(c), the mobile series' partial sums, a
-finite-difference stencil for rho, and a CSV reader for `mdim mc` output."""
+bivariate count, the term-by-term series for C(c), the mobile series'
+partial sums, a finite-difference stencil for rho, and a CSV reader for
+`mdim mc` output."""
 
 from __future__ import annotations
 
