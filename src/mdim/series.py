@@ -2,7 +2,7 @@
 
 The series are exponential in x: the stored coefficient of x^n is the
 labelled-count polynomial n! * [x^n], which keeps the whole pipeline in
-integer arithmetic; `coefficient(n)` divides back out to exact Fractions.
+integer arithmetic.
 Powers of u mark leaves, powers of v mark non-leaf vertices adjacent to a
 leaf, and substituting (u, v) = (y, 1/y) turns the exponent difference
 deg_u - deg_v into the metric dimension mark.
@@ -12,9 +12,12 @@ defined, and solved from the log-derivative of their equation, which needs
 one folded square P^2 per order and no exp(P)), the split P = ux + U + V by
 whether the root touches a leaf, unrooted degree-2-free trees S, the
 edge-subdivision substitution T = (1-x) S(x/(1-x)), and finally forests G.
-U, V, exp(P), which only U and V read, and G are built only when read.  The
-chain is written once; its marks u and v are parameters, and their ring
-decides how every count is held:
+Every series comes from the solver's own quantities: S from P and P^2, V by
+one triangular solve against the isolated-vertex factor D that the solver
+uses, and U = P - ux - V; the one series exponential is G's, over the
+non-trivial trees.  U, V and G are built only when read.  The chain is
+written once; its marks u and v are parameters, and their ring decides how
+every count is held:
 
 - `UVPoly`, a dict from (deg_u, deg_v), packed into the one int key
   deg_u << 16 | deg_v, to an int, for the bivariate chain of `mdim series`.
@@ -57,7 +60,7 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 Key = tuple[int, int]  # (power of u, power of v)
 
@@ -311,11 +314,6 @@ class TruncatedSeries:
             raise ValueError(f"n={n} outside truncation order {self.order}")
         return self.counts[n]
 
-    def coefficient(self, n: int) -> dict[Key | int, Fraction]:
-        """[x^n] as exact rationals, keyed as the counts' `terms`."""
-        den = factorial(n)
-        return {k: Fraction(c, den) for k, c in self.count_poly(n).terms.items()}
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, TruncatedSeries)
@@ -389,6 +387,21 @@ def x_times(order: int, poly: _Coeff, power: int = 1) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
+def _base(order: int, u: _Coeff, v: _Coeff) -> TruncatedSeries:
+    """The mobiles' base terms b = (u-1)x + cx^2, c = u(1-v) (see `_solve_P`)."""
+    one = u.const(1)
+    return x_times(order, u - one) + x_times(order, u * (one - v), 2)
+
+
+def _isolated(order: int, u: _Coeff, v: _Coeff) -> list[_Coeff]:
+    """Counts D_0 = 1, D_k = v u^k of D = 1 + v(exp(ux) - 1), the optional
+    non-empty set of isolated vertices that carries one v."""
+    d = [u.const(1), u * v]
+    for _ in range(2, order + 1):
+        d.append(d[-1] * u)
+    return d[: order + 1]
+
+
 def _solve_P(order: int, u: _Coeff, v: _Coeff) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Solve the mobile equation for P (see `series_system`); return P and P^2.
 
@@ -399,17 +412,15 @@ def _solve_P(order: int, u: _Coeff, v: _Coeff) -> tuple[TruncatedSeries, Truncat
         D H = -c x R,   H = x P' W - (P - b + x b'),   W = (1+x)(1-P) + b.
     As x P' W = (1 + ux + cx^2) x P' - (1+x) x (P^2)'/2, the square P^2 is
     the only product of two unknown series, and each product with D is by
-    its single-term counts D_0 = 1, D_k = v u^k.  At x^n, P_n enters x P' as
+    its single-term counts (`_isolated`).  At x^n, P_n enters x P' as
     n P_n and P - b + x b' as P_n, so 2H_n is 2(n-1) P_n plus counts of
     order < n: `exact_div` recovers P_n from P_1 = u, and its remainder
     check verifies every order.
     """
     zero, one = u.const(0), u.const(1)
     c = u * (one - v)
-    base = (x_times(order, u - one) + x_times(order, c, 2)).counts  # counts of b
-    d = [one, u * v]  # counts of D
-    for _ in range(2, order + 1):
-        d.append(d[-1] * u)
+    base = _base(order, u, v).counts
+    d = _isolated(order, u, v)
     # counts of P, P^2, 2H and R, through x^1
     p, sq, h2, r = [zero, u], [zero, zero], [zero, zero], [zero, one]
     for n in range(2, order + 1):
@@ -433,36 +444,32 @@ def tree_series(S: TruncatedSeries) -> TruncatedSeries:
     """All labelled trees: re-insert degree-2 vertices on every edge.
 
     A tree on n vertices has n-1 edges, so x^m -> x^m (1-x)^(-m+1), i.e.
-    T = (1-x) S(x/(1-x)).  With counts: [x^n] S(x/(1-x)) picks up binomial
-    weights C(n-1, m-1) from (1-x)^(-m).
+    T = (1-x) S(x/(1-x)).  [x^n] of x^m (1-x)^(-m) is C(n-1, m-1), and the
+    factor 1-x leaves C(n-1, m-1) - C(n-2, m-1) = C(n-2, m-2), so
+        T_n = sum_{2<=m<=n} n!/m! C(n-2, m-2) S_m   (n >= 2),   T_1 = S_1,
+    one weighted `dot` per order, with n!/m! = perm(n, n-m).
     """
-    N = S.order
-    zero = S.counts[0].const(0)
-    comp = [zero]
-    for n in range(1, N + 1):
-        acc = zero
-        nf = factorial(n)
-        for m in range(1, n + 1):
-            s = S.counts[m]
-            if s:
-                acc = acc + s.scale(nf // factorial(m) * comb(n - 1, m - 1))
-        comp.append(acc)
-    return TruncatedSeries(N, [zero] + [comp[n] - comp[n - 1].scale(n) for n in range(1, N + 1)])
+    N, s = S.order, S.counts
+    one = s[0].const(1)
+    t = [s[0].const(0)] + s[1:2]
+    for n in range(2, N + 1):
+        pairs = [(s[m], one, perm(n, n - m) * comb(n - 2, m - 2)) for m in range(2, n + 1) if s[m]]
+        t.append(one.dot(pairs))
+    return TruncatedSeries(N, t)
 
 
 def forest_series(T: TruncatedSeries, u: _Coeff, v: _Coeff) -> TruncatedSeries:
-    """Forests: G = exp(T - ux) (1 + v (exp(ux) - 1)) + u(1 - v) x.
+    """Forests: G = exp(T - ux) D + u(1 - v) x, D = 1 + v(exp(ux) - 1).
 
     Sets of non-trivial trees, times an optional non-empty set of isolated
     vertices carrying one balancing v (one isolated vertex is already
-    resolved by its all-unreachable distance vector).  The lone vertex,
-    counted as uv by the product, has beta = 1 like every path: the x term
-    turns its count into u.
+    resolved by its all-unreachable distance vector), whose counts
+    `_isolated` gives.  The lone vertex, counted as uv by the product, has
+    beta = 1 like every path: the x term turns its count into u.
     """
-    N, one = T.order, u.const(1)
+    N = T.order
     core = (T - x_times(N, u)).exp()
-    iso = x_times(N, u).exp().poly_mul(v) + x_times(N, one - v, 0)  # 1 + v (exp(ux) - 1)
-    return core * iso + x_times(N, u * (one - v))
+    return core * TruncatedSeries(N, _isolated(N, u, v)) + x_times(N, u * (u.const(1) - v))
 
 
 class BetaDistribution:
@@ -499,9 +506,8 @@ class SeriesSystem:
 
     u marks leaves and v non-leaf vertices (y and 1/y in the y-collapsed
     chain).  The tree chain P -> S -> T is solved on construction.  U, V and
-    G are leaves that nothing else in the chain reads, and E = exp(P) is
-    read only by U and V, so each is built on its first read and cached in
-    the instance `__dict__`.
+    G are leaves that nothing else in the chain reads, so each is built on
+    its first read and cached in the instance `__dict__`.
     """
 
     def __init__(
@@ -512,34 +518,35 @@ class SeriesSystem:
         self.P, self.S, self.T = P, S, T
 
     @cached_property
-    def E(self) -> TruncatedSeries:
-        return self.P.exp()
-
-    @cached_property
-    def _exp_A(self) -> TruncatedSeries:
-        return self.E * x_times(self.order, self.u.scale(-1)).exp()
-
-    @cached_property
     def U(self) -> TruncatedSeries:
-        ux = x_times(self.order, self.u)
-        return (self.E - self._exp_A - ux).shift_x().poly_mul(self.v)
+        return self.P - x_times(self.order, self.u) - self.V
 
     @cached_property
     def V(self) -> TruncatedSeries:
-        A = self.P - x_times(self.order, self.u)
-        return (self._exp_A - x_times(self.order, self.u.const(1), 0) - A).shift_x()
+        # V = W - x - xA with W = x exp(A), A = P - ux, from W D = R (`_solve_P`)
+        N, u, zero = self.order, self.u, self.u.const(0)
+        xP = self.P.shift_x()
+        r = (self.P + xP - _base(N, u, self.v)).counts
+        d = _isolated(N, u, self.v)
+        w = [zero]
+        for n in range(1, N + 1):
+            w.append(zero)  # D_0 W_n, the one pair with W_n, drops out of `_conv` as a zero factor
+            w[n] = (r[n] - _conv(d, w, n)).tightened()
+        return TruncatedSeries(N, w) - x_times(N, u.const(1)) - xP + x_times(N, u, 2)
 
     @cached_property
     def G(self) -> TruncatedSeries:
         return forest_series(self.T, self.u, self.v)
 
 
-# Bivariate `series` needs the cap: its tree chain takes 0.07-0.13 s at order
-# 45 and 0.10-0.17 s at 50, and `--which G` adds 0.56-1.04 s and 1.1-1.6 s for
-# the forest exponential, so the whole build roughly doubles from 45 to 50.
-# The packed y-collapsed chain of `dist` and `series --at-y` takes 0.02-0.04 +
-# 0.02-0.04 s (G) at order 50 and 0.58-1.07 + 1.1-1.9 s at 100 (Python 3.11,
-# 2-core x86-64 host shared with other jobs).
+# The cap bounds the bivariate `series` reads.  Its tree chain takes 0.06-0.10 s
+# at order 45, 0.09-0.17 s at 50 and 4.1-6.5 s at 100, and U with V add
+# 0.2-0.3 s at 100.  `--which G` adds the forest exponential, 0.50-0.88 s at
+# 45, 1.0-1.9 s at 50, 3.0-5.2 s at 60 and 9.4-12.1 s at 70: about x3 per 10
+# orders, so minutes at 100.  The packed y-collapsed chain of `dist` and
+# `series --at-y` takes 0.02-0.03 + 0.02-0.04 s (G) at order 50 and
+# 0.50-0.72 + 0.90-1.40 s at 100 (Python 3.11, 2-core x86-64 host shared with
+# other jobs).
 MAX_ORDER = 100
 
 
@@ -557,15 +564,16 @@ def series_system(order: int, at_y: bool = False) -> SeriesSystem:
     `_solve_P` solves it without exp(P) and returns P^2 with P.
     Splitting off the single-vertex mobile, P = ux + U + V with A = P - ux:
     U roots touch a leaf, U = vx(exp(P) - exp(A) - ux), and V roots do not,
-    V = x(exp(A) - 1 - A), with exp(A) = exp(P) exp(-ux).  Over degree-2-free
-    trees, vertex-pointed minus half of edge-pointed trees counts each tree
-    once (vertices outnumber edges by one): S = S_dot - S_arrow/2.
-    Substituting V, U + vV = vx(exp(P) - 1 - P) and
-    P^2 = A^2 + 2uxA + u^2x^2 into that difference leaves
-        S = ux + ux^2/2 - u^2vx^3/2 + (1 - uvx^2) A - (1 + x) A^2/2,
-    with A^2 = P^2 - 2uxP + u^2x^2 from the solver's square; then
-    `tree_series` gives T.  U, V, E = exp(P) and G (`forest_series`) are
-    built when first read from the returned `SeriesSystem`.
+    V = x(exp(A) - 1 - A).  The mobile equation is W D = R with W = x exp(A),
+    so V = W - x - xA needs no exponential, and U = A - V.  Over
+    degree-2-free trees, vertex-pointed minus half of edge-pointed trees
+    counts each tree once (vertices outnumber edges by one):
+    S = S_dot - S_arrow/2.  Substituting V, U + vV = vx(exp(P) - 1 - P) and
+    A = P - ux into that difference leaves, with c = u(1-v),
+        S = (1 + ux + cx^2) P - (1+x) P^2/2 + u(1-u)x^2/2 - uc x^3/2,
+    from the solver's P and P^2; then `tree_series` gives T.  U, V and G
+    (`forest_series`) are built when first read from the returned
+    `SeriesSystem`.
     """
     return _system(order, at_y)
 
@@ -582,17 +590,15 @@ def _system(order: int, at_y: bool) -> SeriesSystem:
         u, v = YPoly({1: 1}, width), YPoly({-1: 1}, width)
     else:
         u, v = _P_U, _P_V
-    uv = u * v
+    one = u.const(1)
+    c = u * (one - v)
     P, P2 = _solve_P(order, u, v)
-    ux = x_times(order, u)
-    A = P - ux
-    A2 = P2 - (P * ux).scale(2) + ux * ux  # (P - ux)^2 from the solver's P^2
-    S = (
-        ux
-        + A
-        - A.shift_x().shift_x().poly_mul(uv)
-        + (x_times(order, u, 2) - x_times(order, u * uv, 3)).half()
-        - (A2 + A2.shift_x()).half()
+    xP = P.shift_x()
+    S = (  # (1 + ux + cx^2) P - (1+x) P^2/2 + u(1-u) x^2/2 - uc x^3/2
+        P
+        + (xP.poly_mul(u) + xP.shift_x().poly_mul(c))
+        - (P2 + P2.shift_x()).half()
+        + (x_times(order, u * (one - u), 2) - x_times(order, u * c, 3)).half()
     )
     return SeriesSystem(order, u, v, P, S, tree_series(S))
 

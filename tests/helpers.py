@@ -5,9 +5,10 @@ BFS component partition, the scalar pair-index decoder, the tuple-list
 Pruefer decoder and the checked one-sequence decode, the word-by-word
 big-integer draw, Takacs' closed form and
 the recurrence for the forest counts, tree enumeration in disjoint unions
-and the blocks of a union, generic series
+and the blocks of a union, exact rational coefficients, generic series
 composition, the count-by-count product of two series, the exp-based mobile
-solver, the pointed series of the dissymmetry theorem, the y-collapse of a
+solver and mobile split, the running-sum edge subdivision, the pointed
+series of the dissymmetry theorem, the y-collapse of a
 bivariate count, the term-by-term series for C(c), the mobile series'
 partial sums, a finite-difference stencil for rho, and a CSV reader for
 `mdim mc` output."""
@@ -265,6 +266,12 @@ def chi_square_ok(observed: dict, probs: dict, total: int, alpha: float = 0.01) 
     return stat <= chi2.ppf(1 - alpha, df)
 
 
+def coefficient(series: TruncatedSeries, n: int) -> dict:
+    """[x^n] as exact rationals, keyed as the counts' `terms`."""
+    den = factorial(n)
+    return {k: Fraction(c, den) for k, c in series.count_poly(n).terms.items()}
+
+
 def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     """Composition outer(inner(x)); `inner` must have zero constant term.
 
@@ -319,6 +326,40 @@ def solve_P_by_exp(order: int, u, v) -> tuple[TruncatedSeries, TruncatedSeries]:
         a.append((_conv(q, e, n - 1) - a[n - 1]).scale(n) + base[n])
         e.append(_conv(a[1:], e, n - 1))
     return TruncatedSeries(order, a), TruncatedSeries(order, e)
+
+
+def mobile_split_by_exp(P: TruncatedSeries, u, v) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """U and V by their exponential forms, with A = P - ux,
+        U = vx(exp(P) - exp(A) - ux),   V = x(exp(A) - 1 - A),
+    each exponential taken by `TruncatedSeries.exp`: the check on
+    `SeriesSystem.U` and `.V`, which solve W D = R for W = x exp(A) instead.
+    """
+    N = P.order
+    ux = x_times(N, u)
+    A = P - ux
+    exp_A = A.exp()
+    U = (P.exp() - exp_A - ux).shift_x().poly_mul(v)
+    V = (exp_A - x_times(N, u.const(1), 0) - A).shift_x()
+    return U, V
+
+
+def tree_series_by_running_sums(S: TruncatedSeries) -> TruncatedSeries:
+    """T = (1-x) S(x/(1-x)) through the running sums
+    comp_n = sum_m n!/m! C(n-1, m-1) S_m of S(x/(1-x)) and the differences
+    T_n = comp_n - n comp_(n-1): the check on `mdim.series.tree_series`,
+    which takes one weighted `dot` of the S_m per order."""
+    N = S.order
+    zero = S.counts[0].const(0)
+    comp = [zero]
+    for n in range(1, N + 1):
+        acc = zero
+        nf = factorial(n)
+        for m in range(1, n + 1):
+            s = S.counts[m]
+            if s:
+                acc = acc + s.scale(nf // factorial(m) * comb(n - 1, m - 1))
+        comp.append(acc)
+    return TruncatedSeries(N, [zero] + [comp[n] - comp[n - 1].scale(n) for n in range(1, N + 1)])
 
 
 def pointed_series(sys_: SeriesSystem) -> tuple[TruncatedSeries, TruncatedSeries]:

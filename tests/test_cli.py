@@ -266,14 +266,15 @@ class TestSeriesCommands:
         "argv",
         [
             ["series", "--order", "12", "--which", which, *at_y]
-            for which in "PST"
+            for which in "PSTUV"
             for at_y in ([], ["--at-y"])
         ]
         + [["dist", "--model", "tree", "--n", "12"]],
         ids=" ".join,
     )
     def test_tree_reads_skip_forest_series(self, capsys, monkeypatch, argv):
-        # nor any series exponential: the mobile solver needs no exp(P)
+        # nor any series exponential: the mobile solver needs no exp(P), and
+        # U and V come from W D = R with W = x exp(A)
         import mdim.series
 
         def no_forest(T, u, v):
@@ -286,23 +287,6 @@ class TestSeriesCommands:
         monkeypatch.setattr(mdim.series.TruncatedSeries, "exp", no_exp)
         mdim.series.series_system.cache_clear()
         assert main(argv) == 0
-
-    def test_exp_P_built_once_for_U_and_V(self, capsys, monkeypatch):
-        # E = exp(P) is built on the first read of U and shared with V
-        import mdim.series
-
-        real, calls = mdim.series.TruncatedSeries.exp, []
-
-        def counted(self):
-            calls.append(self)
-            return real(self)
-
-        monkeypatch.setattr(mdim.series.TruncatedSeries, "exp", counted)
-        mdim.series.series_system.cache_clear()
-        assert main(["series", "--order", "12", "--which", "U"]) == 0
-        assert main(["series", "--order", "12", "--which", "V"]) == 0
-        P = mdim.series.series_system(12).P
-        assert sum(s is P for s in calls) == 1
 
     def test_dist_at_max_order(self, capsys):
         # the widest slots of the y-collapsed chain decode without tripping

@@ -9,11 +9,14 @@ from hypothesis import given, strategies as st
 
 from helpers import (
     block_edges,
+    coefficient,
     compose,
     conv_oracle,
     enumerate_trees,
+    mobile_split_by_exp,
     pointed_series,
     solve_P_by_exp,
+    tree_series_by_running_sums,
     y_collapse,
 )
 from mdim.graph import Graph
@@ -131,11 +134,22 @@ class TestMobileSplit:
 
     def test_exp_A_from_exp_P(self):
         # exp(A) = exp(P) exp(-ux), against the series exponential of A = P - ux
-        sys30 = series_system(30)
-        P, E = sys30.P, sys30.E
+        P = series_system(30).P
         exp_mux = x_times(30, U.scale(-1)).exp()
         assert [exp_mux.count_poly(n) for n in range(31)] == [UVPoly({(n, 0): (-1) ** n}) for n in range(31)]
-        assert E * exp_mux == (P - x_times(30, U)).exp()
+        assert P.exp() * exp_mux == (P - x_times(30, U)).exp()
+
+    def test_U_V_match_exp_oracle(self):
+        # U and V one by one against their exponential forms, at every
+        # truncation order: U = A - V makes the partition identity hold
+        # whatever V is, and the dissymmetry check cancels both
+        for order in range(31):
+            sys_ = series_system(order)
+            assert (sys_.U, sys_.V) == mobile_split_by_exp(sys_.P, U, V), order
+
+    def test_U_V_match_exp_oracle_at_y(self):
+        sys_ = series_system(MAX_ORDER, at_y=True)
+        assert (sys_.U, sys_.V) == mobile_split_by_exp(sys_.P, sys_.u, sys_.v)
 
     def test_solve_P_matches_exp_oracle(self):
         # the exp-free recursion against the mobile equation as written, and
@@ -236,7 +250,7 @@ T_EXPECTED = {
 class TestSpecialSeries:
     def test_taylor_coefficients(self, sys12):
         for n, want in S_EXPECTED.items():
-            assert sys12.S.coefficient(n) == want, n
+            assert coefficient(sys12.S, n) == want, n
 
     def test_no_cubic_term(self, sys12):
         assert not sys12.S.count_poly(3)
@@ -251,7 +265,7 @@ class TestSpecialSeries:
 class TestTreeSeries:
     def test_taylor_coefficients(self, sys12):
         for n, want in T_EXPECTED.items():
-            assert sys12.T.coefficient(n) == want, n
+            assert coefficient(sys12.T, n) == want, n
 
     def test_cayley_counts(self, system30):
         for n in range(2, 31):
@@ -430,6 +444,14 @@ class TestSeriesAlgebra:
             [UVPoly({(0, 0): 1}), UVPoly({(0, 0): -1})] + [UVPoly()] * (N - 1),
         )
         assert one_minus_x * comp == tree_series(S)
+
+    @pytest.mark.parametrize("at_y", [False, True])
+    def test_tree_series_matches_running_sums(self, at_y):
+        # one weighted dot per order against the running sums and differences
+        S = series_system(45, at_y).S
+        for order in range(46):
+            S_order = TruncatedSeries(order, S.counts[: order + 1])
+            assert tree_series(S_order) == tree_series_by_running_sums(S_order), order
 
 
 # Laurent polynomials in y with coefficients up to 2^20 and at most 4 terms:
